@@ -3,81 +3,8 @@
 Builds the certificate table of normalized cofactors over GF(p), discovers
 its bivariate q-recurrence by modular guessing and reconstruction, and
 verifies the certificate identities at scale with independent brute-force
-oracles at small sizes.
+oracles at small sizes.  Import from the submodules: fieldcore, okada,
+cofactors, guessing, verify and cli.
 """
-
-from .fieldcore import (
-    DEFAULT_PRIME,
-    DenseMatrix,
-    DuplicateAbscissa,
-    FieldElement,
-    IntegerPoly,
-    NoFit,
-    NoReconstruction,
-    PoleAtSample,
-    PolyOverField,
-    PrimeModulus,
-    RationalFunctionOverField,
-    SingularMatrix,
-    WorkbenchError,
-    ZeroInverse,
-    determinant_elim,
-    interpolate_poly,
-    mod_inverse,
-    nullspace,
-    reconstruct_rational_function,
-    reconstruct_rational_number,
-    solve_linear,
-)
-from .okada import (
-    DegenerateDenominator,
-    OkadaMatrixSlice,
-    QPoint,
-    nice_ratio,
-    okada_entry,
-    okada_entry_q1,
-    okada_slice,
-    qbinom,
-    qtspp_orbit_product,
-)
-from .cofactors import (
-    CofactorTable,
-    build_table,
-    cofactor_by_minors,
-    cofactor_row,
-    det_certified,
-    det_direct,
-    load_table,
-)
-from .guessing import (
-    AnsatzSupport,
-    InsufficientData,
-    ModularRecurrence,
-    NoRecurrence,
-    ReconstructionFailed,
-    SymbolicRecurrence,
-    TooFewPoints,
-    apply_recurrence,
-    build_equations,
-    guess_modular,
-    load_recurrence,
-    reconstruct_symbolic,
-    refine_support,
-    save_recurrence,
-    sweep,
-)
-from .verify import (
-    OrbitPoset,
-    SeriesTruncationTooShort,
-    SizeLimit,
-    VerificationReport,
-    brute_force_qtspp,
-    check_extended,
-    check_leading_factor_vanishing,
-    check_normalization,
-    check_okada,
-    check_soichi,
-    ct_check_q1,
-)
 
 __version__ = "0.1.0"

@@ -70,9 +70,6 @@ class CofactorTable:
             return 0
         return int(self._rows[n - 1][j - 1])
 
-    def element(self, n: int, j: int) -> FieldElement:
-        return FieldElement(self.value(n, j), self.modulus)
-
     def row(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.n_max:
             raise IndexError(f"row {n} outside table (n_max={self.n_max})")
@@ -369,15 +366,6 @@ def _cofactor_row_raw(
     return x
 
 
-def cofactor_row(n: int, qpt: QPoint) -> list[FieldElement]:
-    """The normalized cofactor vector of length n at one q point."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    a = okada_slice(n, qpt).matrix.array
-    x = _cofactor_row_raw(a, n, qpt, {})
-    return [FieldElement(int(v), qpt.modulus) for v in x]
-
-
 def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     """All cofactor rows up to n_max, with orthogonality residuals verified.
 
@@ -388,7 +376,7 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    a = okada_slice(n_max, qpt).matrix.array
+    a = okada_slice(n_max, qpt)
     entry_cache: dict = {}
     rows = []
     for n in range(1, n_max + 1):
@@ -405,7 +393,7 @@ def det_direct(n: int, qpt: QPoint) -> FieldElement:
     """Determinant of the full n x n entry matrix by elimination."""
     if n < 1:
         raise ValueError("n must be positive")
-    return FieldElement(det_mod(okada_slice(n, qpt).matrix.array, qpt.modulus.p), qpt.modulus)
+    return FieldElement(det_mod(okada_slice(n, qpt), qpt.modulus.p), qpt.modulus)
 
 
 def det_certified(n: int, table: CofactorTable) -> FieldElement:
@@ -416,7 +404,7 @@ def det_certified(n: int, table: CofactorTable) -> FieldElement:
         raise ValueError(f"table covers n <= {table.n_max} < {n}")
     qpt = table.qpoint()
     p = qpt.modulus.p
-    a = okada_slice(n, qpt).matrix.array
+    a = okada_slice(n, qpt)
     acc = 1
     for m in range(1, n + 1):
         s = int((a[m - 1, :m] * table._rows[m - 1] % p).sum() % p)
@@ -435,7 +423,7 @@ def cofactor_by_minors(n: int, j: int, qpt: QPoint) -> FieldElement:
     if n > 10:
         raise ValueError("minors oracle is restricted to n <= 10")
     p = qpt.modulus.p
-    a = okada_slice(n, qpt).matrix.array
+    a = okada_slice(n, qpt)
     det_lead = det_mod(a[: n - 1, : n - 1], p) if n > 1 else 1
     if det_lead == 0:
         raise ZeroDivisionError(f"leading determinant vanishes at q={qpt.q_int}")

@@ -1,14 +1,17 @@
 """Exact arithmetic over a word-sized prime field GF(p).
 
-Scalars, dense linear algebra (solve / nullspace / determinant by Gaussian
-elimination), univariate polynomials with interpolation, and the two
-reconstruction algorithms that lift modular images back to symbolic objects:
-rational functions over GF(p) (Cauchy interpolation via the extended
-Euclidean algorithm) and rational numbers from a single residue.
+The modulus, dense linear algebra on int64 residue arrays (solve /
+nullspace / determinant by Gaussian elimination, each taking an explicit
+p), univariate polynomials with interpolation, and the two reconstruction
+algorithms that lift modular images back to symbolic objects: rational
+functions over GF(p) (Cauchy interpolation via the extended Euclidean
+algorithm, returned as a numerator / monic denominator pair) and rational
+numbers from a single residue.  FieldElement is only the read-only result
+type of the public scalar functions; arithmetic runs on plain ints.
 
-Matrices store their residues in a 64-bit numpy array; the modulus is kept
-small enough that a product of two residues never overflows a signed word,
-so elimination needs only elementwise multiply / subtract / mod steps.
+The modulus is kept small enough that a product of two residues never
+overflows a signed 64-bit word, so elimination needs only elementwise
+multiply / subtract / mod steps.
 """
 
 from __future__ import annotations
@@ -111,9 +114,6 @@ class PrimeModulus:
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
     def unit_group_factorization(self) -> tuple[tuple[int, int], ...]:
         return _factorize(self.p - 1)
 
@@ -133,73 +133,13 @@ class PrimeModulus:
 
 
 class FieldElement:
-    """A residue in GF(p) with operator arithmetic."""
+    """A read-only residue in GF(p), the result type of the scalar functions."""
 
     __slots__ = ("value", "modulus")
 
     def __init__(self, value: int, modulus: PrimeModulus):
         self.value = value % modulus.p
         self.modulus = modulus
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.modulus.p != self.modulus.p:
-                raise ValueError("mixed moduli")
-            return other.value
-        if isinstance(other, (int, np.integer)):
-            return int(other) % self.modulus.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - v, self.modulus)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(v - self.value, self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * FieldElement(v, self.modulus).inverse()
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(v, self.modulus) * self.inverse()
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FieldElement(pow(self.value, e, self.modulus.p), self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        return mod_inverse(self)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -221,13 +161,6 @@ class FieldElement:
         return self.value != 0
 
 
-def mod_inverse(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse in GF(p); raises ZeroInverse on a = 0."""
-    if a.value == 0:
-        raise ZeroInverse("0 is not invertible")
-    return FieldElement(pow(a.value, -1, a.modulus.p), a.modulus)
-
-
 def _inv_mod(v: int, p: int) -> int:
     if v == 0:
         raise ZeroInverse("0 is not invertible")
@@ -235,71 +168,13 @@ def _inv_mod(v: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense matrices
+# Dense linear algebra on int64 residue arrays
 # ---------------------------------------------------------------------------
-
-
-class DenseMatrix:
-    """Row-major matrix of GF(p) residues backed by an int64 numpy array."""
-
-    __slots__ = ("rows", "cols", "modulus", "_a")
-
-    def __init__(self, array: np.ndarray, modulus: PrimeModulus):
-        a = np.asarray(array, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        self._a = np.mod(a, modulus.p)
-        self.rows, self.cols = self._a.shape
-        self.modulus = modulus
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], modulus: PrimeModulus) -> "DenseMatrix":
-        data = [[int(x) for x in row] for row in rows]
-        return cls(np.array(data, dtype=np.int64).reshape(len(data), -1), modulus)
-
-    @classmethod
-    def identity(cls, n: int, modulus: PrimeModulus) -> "DenseMatrix":
-        return cls(np.eye(n, dtype=np.int64), modulus)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, modulus: PrimeModulus) -> "DenseMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), modulus)
-
-    @property
-    def array(self) -> np.ndarray:
-        """The underlying residue array (do not mutate)."""
-        return self._a
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(int(self._a[i, j]), self.modulus)
-
-    def entries(self) -> list[FieldElement]:
-        return [FieldElement(int(v), self.modulus) for v in self._a.ravel()]
-
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self._a.copy(), self.modulus)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DenseMatrix)
-            and self.modulus.p == other.modulus.p
-            and np.array_equal(self._a, other._a)
-        )
-
-    def __repr__(self):
-        return f"DenseMatrix({self.rows}x{self.cols} mod {self.modulus.p})"
 
 
 def matvec_mod(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
     """a @ x over GF(p) without int64 overflow (reduce products, then sum)."""
     return np.mod((a * x[np.newaxis, :] % p).sum(axis=1), p)
-
-
-def _coerce_vector(b, n: int, p: int) -> np.ndarray:
-    vals = [int(x) for x in b]
-    if len(vals) != n:
-        raise ValueError(f"vector length {len(vals)} does not match {n}")
-    return np.mod(np.array(vals, dtype=np.int64), p)
 
 
 def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -394,24 +269,6 @@ def det_mod(a: np.ndarray, p: int) -> int:
             factors = m[below, col] * inv % p
             m[below] = (m[below] - np.outer(factors, m[col])) % p
     return det
-
-
-def solve_linear(a: DenseMatrix, b: Sequence) -> list[FieldElement]:
-    """Solve the square system a x = b exactly in GF(p)."""
-    x = solve_mod(a.array, _coerce_vector(b, a.rows, a.modulus.p), a.modulus.p)
-    return [FieldElement(int(v), a.modulus) for v in x]
-
-
-def nullspace(a: DenseMatrix) -> list[list[FieldElement]]:
-    """Reduced-echelon-normalized kernel basis; empty list for full rank."""
-    if a.cols < 1:
-        raise ValueError("matrix needs at least one column")
-    basis = nullspace_mod(a.array, a.modulus.p)
-    return [[FieldElement(int(v), a.modulus) for v in vec] for vec in basis]
-
-
-def determinant_elim(a: DenseMatrix) -> FieldElement:
-    return FieldElement(det_mod(a.array, a.modulus.p), a.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +388,6 @@ class PolyOverField:
             acc = (acc * x + c) % p
         return acc
 
-    def shift_up(self, k: int) -> "PolyOverField":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return PolyOverField([0] * k + self.coeffs, self.modulus)
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyOverField)
@@ -546,38 +397,6 @@ class PolyOverField:
 
     def __repr__(self):
         return f"PolyOverField({self.coeffs} mod {self.modulus.p})"
-
-
-class RationalFunctionOverField:
-    """Reduced rational function n(x)/d(x) over GF(p) with monic denominator."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: PolyOverField, denominator: PolyOverField):
-        if denominator.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = numerator.gcd(denominator)
-        if g.degree > 0:
-            numerator = numerator.divmod(g)[0]
-            denominator = denominator.divmod(g)[0]
-        inv_lead = _inv_mod(denominator.leading_coefficient(), denominator.modulus.p)
-        self.numerator = numerator.scale(inv_lead)
-        self.denominator = denominator.scale(inv_lead)
-
-    def __call__(self, x: int) -> int:
-        p = self.numerator.modulus.p
-        den = self.denominator(x)
-        return self.numerator(x) * _inv_mod(den, p) % p
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunctionOverField)
-            and self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    def __repr__(self):
-        return f"({self.numerator.coeffs}) / ({self.denominator.coeffs}) mod {self.numerator.modulus.p}"
 
 
 class IntegerPoly:
@@ -678,7 +497,7 @@ def reconstruct_rational_function(
     deg_num_bound: int,
     deg_den_bound: int,
     modulus: PrimeModulus,
-) -> RationalFunctionOverField:
+) -> tuple[PolyOverField, PolyOverField]:
     """Fit n(x)/d(x) with deg n <= deg_num_bound, deg d <= deg_den_bound.
 
     Cauchy interpolation: interpolate a polynomial g through all samples,
@@ -687,6 +506,7 @@ def reconstruct_rational_function(
     (at least one is required beyond deg_num_bound + deg_den_bound + 1)
     validate the candidate; a candidate whose denominator vanishes at a
     sample raises PoleAtSample so the caller can discard that sample.
+    Returns the coprime pair (numerator, monic denominator).
     """
     if deg_num_bound < 0 or deg_den_bound < 0:
         raise ValueError("degree bounds must be nonnegative")
@@ -732,7 +552,7 @@ def reconstruct_rational_function(
             raise PoleAtSample(x)
         if num(x) != y * dv % p:
             raise NoFit(f"verification failed at sample x={x}")
-    return RationalFunctionOverField(num, den)
+    return num, den
 
 
 def rational_reconstruction_bound(p: int) -> int:
@@ -740,7 +560,7 @@ def rational_reconstruction_bound(p: int) -> int:
     return math.isqrt(p // 2)
 
 
-def reconstruct_rational_number(r: FieldElement) -> tuple[int, int]:
+def reconstruct_rational_number(r: int, p: int) -> tuple[int, int]:
     """Lift a residue to the unique small rational a/b with a = r*b mod p.
 
     Half-extended Euclidean algorithm on (p, r): stop at the first remainder
@@ -748,9 +568,9 @@ def reconstruct_rational_number(r: FieldElement) -> tuple[int, int]:
     denominator.  Raises NoReconstruction when the cofactor is out of bounds
     or the pair is not coprime (no admissible rational exists).
     """
-    p = r.modulus.p
+    r %= p
     bound = rational_reconstruction_bound(p)
-    r0, r1 = p, r.value
+    r0, r1 = p, r
     t0, t1 = 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -760,7 +580,7 @@ def reconstruct_rational_number(r: FieldElement) -> tuple[int, int]:
     if b < 0:
         a, b = -a, -b
     if b == 0 or b > bound or math.gcd(a, b) != 1:
-        raise NoReconstruction(f"residue {r.value} has no rational within bound {bound}")
-    if a % p != r.value * b % p:
+        raise NoReconstruction(f"residue {r} has no rational within bound {bound}")
+    if a % p != r * b % p:
         raise NoReconstruction("euclidean invariant violated")
     return a, b

@@ -29,7 +29,6 @@ import numpy as np
 
 from .cofactors import CofactorTable, build_table
 from .fieldcore import (
-    DenseMatrix,
     FieldElement,
     IntegerPoly,
     NoFit,
@@ -38,6 +37,7 @@ from .fieldcore import (
     PrimeModulus,
     SingularMatrix,
     WorkbenchError,
+    nullspace_mod,
     reconstruct_rational_function,
     reconstruct_rational_number,
 )
@@ -190,9 +190,6 @@ class SymbolicRecurrence:
     def joint_content(self) -> int:
         return math.gcd(*(c.content() for c in self.coefficients))
 
-    def coefficient_for(self, term: Term) -> IntegerPoly:
-        return self.coefficients[self.support.terms.index(tuple(term))]
-
     def specialize(self, q_int: int, prime: int | None = None) -> np.ndarray:
         """Residues of every coefficient polynomial at q_int mod the prime."""
         p = prime if prime is not None else self.prime
@@ -215,7 +212,7 @@ def _equation_rows(table: CofactorTable, support: AnsatzSupport) -> tuple[np.nda
     return np.array(ns, dtype=np.int64), np.array(js, dtype=np.int64)
 
 
-def build_equations(table: CofactorTable, support: AnsatzSupport) -> DenseMatrix:
+def build_equations(table: CofactorTable, support: AnsatzSupport) -> np.ndarray:
     """One equation per table position (n, j); one column per ansatz term.
 
     The (n, j) row's entry in the column of term (alpha, beta, gamma) is
@@ -243,7 +240,7 @@ def build_equations(table: CofactorTable, support: AnsatzSupport) -> DenseMatrix
         shift_n, shift_j = _term_shifts(term)
         exps = alpha * ns + beta * js
         cols[:, k] = pw[exps] * b[ns + shift_n, js + shift_j] % p
-    return DenseMatrix(cols, table.modulus)
+    return cols
 
 
 def guess_modular(table: CofactorTable, support: AnsatzSupport) -> ModularRecurrence:
@@ -253,15 +250,13 @@ def guess_modular(table: CofactorTable, support: AnsatzSupport) -> ModularRecurr
     nullspace has dimension > 1 the first basis vector is returned and the
     dimension recorded; sweeps treat such q points as degenerate.
     """
-    from .fieldcore import nullspace_mod
-
     p = table.modulus.p
     m = build_equations(table, support)
-    basis = nullspace_mod(m.array, p)
+    basis = nullspace_mod(m, p)
     if basis.shape[0] == 0:
         raise NoRecurrence(
             f"ansatz system has full column rank at q={table.q_int} "
-            f"({m.rows} equations, {m.cols} terms)"
+            f"({m.shape[0]} equations, {m.shape[1]} terms)"
         )
     vec = basis[0]
     nz = np.nonzero(vec)[0]
@@ -514,10 +509,10 @@ def _fraction_poly_lcm(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _fraction_poly_monic(_fraction_poly_mul(q, b))
 
 
-def _lift_poly_coeffs(coeffs: Sequence[int], modulus: PrimeModulus) -> list[Fraction]:
+def _lift_poly_coeffs(coeffs: Sequence[int], p: int) -> list[Fraction]:
     out = []
     for c in coeffs:
-        a, b = reconstruct_rational_number(FieldElement(c, modulus))
+        a, b = reconstruct_rational_number(c, p)
         out.append(Fraction(a, b))
     return out
 
@@ -562,7 +557,7 @@ def reconstruct_symbolic(
                     f"bounds ({dn}, {dd}); widen the sweep"
                 )
             try:
-                fit = reconstruct_rational_function(points, dn, dd, modulus)
+                num_fit, den_fit = reconstruct_rational_function(points, dn, dd, modulus)
                 break
             except NoFit:
                 if (dn, dd) >= cap_bounds:
@@ -575,8 +570,8 @@ def reconstruct_symbolic(
                 log.warning("term %s: dropping sample at x=%d (pole)", term, exc.x)
                 points = [pt for pt in points if pt[0] != exc.x]
         try:
-            num = _lift_poly_coeffs(fit.numerator.coeffs, modulus)
-            den = _lift_poly_coeffs(fit.denominator.coeffs, modulus)
+            num = _lift_poly_coeffs(num_fit.coeffs, p)
+            den = _lift_poly_coeffs(den_fit.coeffs, p)
         except NoReconstruction as exc:
             raise ReconstructionFailed(
                 f"term {term}: rational lift failed ({exc}); widen the sweep"
@@ -612,13 +607,6 @@ def reconstruct_symbolic(
         prime=p,
         q_points_used=q_points,
     )
-    if sym.max_abs_coefficient() > 1_000_000:
-        # a genuine recurrence has tiny integer coefficients; an artefact
-        # solution would show integers on the order of sqrt(p)
-        log.warning(
-            "max |coefficient| = %d exceeds 10^6: probable artefact solution",
-            sym.max_abs_coefficient(),
-        )
     pivot_idx = support.terms.index(pivot)
     for r in recs:
         x = r.q_int % p

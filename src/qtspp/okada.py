@@ -1,7 +1,8 @@
 """Matrix entries and product formulas for the q-TSPP determinant identity.
 
 Everything here is evaluated at a numeric q point, reduced modulo a prime:
-Gaussian binomials, the determinant's matrix entries a(i, j), the orbit
+Gaussian binomials, the determinant's matrix entries a(i, j) (one at a
+time, or the whole n x n matrix as an int64 residue array), the orbit
 counting product of totally symmetric plane partitions, and the squared
 per-layer ratio that the certified determinant telescopes to.
 
@@ -16,18 +17,11 @@ factor vanish; callers pick q points of large order for those checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .fieldcore import (
-    DenseMatrix,
-    FieldElement,
-    PrimeModulus,
-    WorkbenchError,
-    _inv_mod,
-)
+from .fieldcore import FieldElement, PrimeModulus, WorkbenchError, _inv_mod
 
 
 class DegenerateDenominator(WorkbenchError):
@@ -157,20 +151,8 @@ def okada_entry_q1(i: int, j: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class OkadaMatrixSlice:
-    """The n x n matrix (a(i, j)) at one q point, 1-indexed entries."""
-
-    n: int
-    qpt: QPoint
-    matrix: DenseMatrix
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.matrix.entry(i - 1, j - 1)
-
-
-def okada_slice(n: int, qpt: QPoint) -> OkadaMatrixSlice:
-    """Build the n x n entry matrix in one vectorized pass per row."""
+def okada_slice(n: int, qpt: QPoint) -> np.ndarray:
+    """The n x n entry matrix, a[i-1, j-1] = a(i, j) mod p, one pass per row."""
     if n < 0:
         raise ValueError("size must be nonnegative")
     p = qpt.modulus.p
@@ -189,7 +171,7 @@ def okada_slice(n: int, qpt: QPoint) -> OkadaMatrixSlice:
         a[idx, idx] = (a[idx, idx] + 1 + pw[1 : n + 1]) % p
         if n > 1:
             a[idx[1:], idx[:-1]] = (a[idx[1:], idx[:-1]] - 1) % p
-    return OkadaMatrixSlice(n, qpt, DenseMatrix(a, qpt.modulus))
+    return a
 
 
 # ---------------------------------------------------------------------------

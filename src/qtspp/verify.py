@@ -9,13 +9,15 @@ of totally symmetric plane partitions (order ideals of the orbit poset).
 
 The q = 1 route re-derives the orthogonality and ratio identities as
 constant-term identities for the row generating polynomials and checks them
-with truncated power series, exactly over rationals or mod p on a table.
+with truncated power series over the rationals: on exact rational rows, or
+on a table's integer residues with the extracted coefficient reduced mod p.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -25,13 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .cofactors import CofactorTable, build_table
-from .fieldcore import (
-    IntegerPoly,
-    PrimeModulus,
-    WorkbenchError,
-    _inv_mod,
-    matvec_mod,
-)
+from .fieldcore import IntegerPoly, PrimeModulus, WorkbenchError, matvec_mod
 from .guessing import (
     ModularRecurrence,
     SymbolicRecurrence,
@@ -151,7 +147,7 @@ def check_soichi(tables, L: int | None = None) -> VerificationReport:
         if table.n_max < L:
             raise ValueError(f"table at q={table.q_int} covers only n <= {table.n_max}")
         p = table.modulus.p
-        a = okada_slice(L, table.qpoint()).matrix.array
+        a = okada_slice(L, table.qpoint())
         for n in range(2, L + 1):
             res = matvec_mod(a[: n - 1, :n], table.row(n), p)
             report.checks += n - 1
@@ -161,17 +157,6 @@ def check_soichi(tables, L: int | None = None) -> VerificationReport:
                 )
     report.elapsed = time.perf_counter() - t0
     return report
-
-
-def okada_residual_degree_bound(n: int) -> int:
-    """Safe degree bound for the row-n ratio identity residual in q.
-
-    Crude: determinant numerators have q-degree at most n**3 and the ratio
-    product at most 3*n**3 on either side, so 5*n**3 + 20 over-covers the
-    cleared residual.  A residual that vanishes at more distinct q points
-    than this bound is identically zero in q.
-    """
-    return 5 * n**3 + 20
 
 
 def check_okada(tables, L: int | None = None) -> VerificationReport:
@@ -186,22 +171,13 @@ def check_okada(tables, L: int | None = None) -> VerificationReport:
             raise ValueError(f"table at q={table.q_int} covers only n <= {table.n_max}")
         p = table.modulus.p
         qpt = table.qpoint()
-        a = okada_slice(L, qpt).matrix.array
+        a = okada_slice(L, qpt)
         for n in range(1, L + 1):
             lhs = int((a[n - 1, :n] * table.row(n) % p).sum() % p)
             rhs = int(nice_ratio(n, qpt))
             report.checks += 1
             if lhs != rhs:
                 report.record_failure(q=table.q_int, n=n, lhs=lhs, rhs=rhs)
-    audit = {}
-    for n in range(1, L + 1):
-        bound = okada_residual_degree_bound(n)
-        audit[str(n)] = {
-            "points": len(tables),
-            "degree_bound": bound,
-            "symbolic_by_evaluation": len(tables) > bound,
-        }
-    report.details["numeric_to_symbolic_transfer"] = audit
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -247,91 +223,50 @@ def check_extended(
 # ---------------------------------------------------------------------------
 
 
-def _series_inverse(u, order: int, zero, one):
+def _series_inverse(u: list[Fraction], order: int) -> list[Fraction]:
     """Multiplicative inverse of a power series, truncated to `order` terms."""
-    if not u or u[0] == zero:
+    if not u or u[0] == 0:
         raise ZeroDivisionError("series has no inverse")
-    inv0 = one / u[0]
-    out = [zero] * order
+    inv0 = 1 / u[0]
+    out = [Fraction(0)] * order
     out[0] = inv0
     for m in range(1, order):
-        acc = zero
+        acc = Fraction(0)
         for k in range(1, min(m, len(u) - 1) + 1):
-            acc = acc + u[k] * out[m - k]
+            acc += u[k] * out[m - k]
         out[m] = -acc * inv0
     return out
 
 
-def _series_mul_coeff(a, b, n: int, zero):
+def _series_mul_coeff(a, b, n: int):
     """Coefficient of x**n in a*b, where a is truncated and b is complete."""
     if n >= len(a):
         raise SeriesTruncationTooShort(f"series order {len(a)} cannot reach x**{n}")
-    acc = zero
+    acc = Fraction(0)
     for k in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
-        acc = acc + a[k] * b[n - k]
+        acc += a[k] * b[n - k]
     return acc
 
 
-def _ct_kernel_series(i: int, order: int, zero, one, two):
+def _ct_kernel_series(i: int, order: int) -> list[Fraction]:
     """Truncated series of x(2-x)/(1-x)**(i+1) + 2x**i - x**(i-1).
 
     Computed by honest series arithmetic: invert (1-x)**(i+1), multiply by
-    2x - x**2, then add the two monomial corrections.
+    2x - x**2, then add the two monomial corrections.  The constant term of
+    (1-x)**(i+1) is 1, so every coefficient is an integer.
     """
     if order <= i:
         raise SeriesTruncationTooShort(f"order {order} too short for shift i={i}")
     # (1-x)**(i+1) as a truncated series
-    base = [zero] * min(i + 2, order)
-    from math import comb
-
-    for k in range(len(base)):
-        c = comb(i + 1, k)
-        base[k] = (one * c) if k % 2 == 0 else (-(one * c))
-    inv = _series_inverse(base, order, zero, one)
-    g = [zero] * order
-    for m in range(order):
-        acc = zero
-        if m >= 1:
-            acc = acc + two * inv[m - 1]
-        if m >= 2:
-            acc = acc - inv[m - 2]
-        g[m] = acc
-    g[i] = g[i] + two
+    base = [Fraction((-1) ** k * math.comb(i + 1, k)) for k in range(min(i + 2, order))]
+    inv = _series_inverse(base, order)
+    g = [Fraction(0)] * order
+    for m in range(1, order):
+        g[m] = inv[m - 1] * 2 - (inv[m - 2] if m >= 2 else 0)
+    g[i] += 2
     if i >= 1:
-        g[i - 1] = g[i - 1] - one
+        g[i - 1] -= 1
     return g
-
-
-class _FpScalar:
-    """Minimal field wrapper so the series code runs mod p or over Q."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def __add__(self, o):
-        return _FpScalar(self.v + o.v, self.p)
-
-    def __sub__(self, o):
-        return _FpScalar(self.v - o.v, self.p)
-
-    def __mul__(self, o):
-        if isinstance(o, int):
-            return _FpScalar(self.v * (o % self.p), self.p)
-        return _FpScalar(self.v * o.v, self.p)
-
-    def __neg__(self):
-        return _FpScalar(-self.v, self.p)
-
-    def __truediv__(self, o):
-        return _FpScalar(self.v * _inv_mod(o.v, self.p), self.p)
-
-    def __eq__(self, o):
-        if isinstance(o, _FpScalar):
-            return self.v == o.v
-        return NotImplemented
 
 
 def solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -380,8 +315,9 @@ def ct_check_q1(
     every shift i; the coefficient of x**n must vanish for i < n and equal
     the exact layer ratio for i = n.  With no table the rows are computed
     exactly over the rationals; with a (q = 1, mod p) table the same series
-    arithmetic runs mod p, so fault-injected tables fail here exactly as
-    they fail the direct identity checks.
+    arithmetic runs on the table's integer residues and the coefficient is
+    reduced mod p, so fault-injected tables fail here exactly as they fail
+    the direct identity checks.
     """
     if n_max_ct < 2:
         raise ValueError("need n_max_ct >= 2")
@@ -393,9 +329,10 @@ def ct_check_q1(
         def certval(n, j):
             return rows[n - 1][j - 1] if 1 <= j <= n else Fraction(0)
 
-        zero, one, two = Fraction(0), Fraction(1), Fraction(2)
+        def reduce(value):
+            return value
+
         expected_ratio = nice_ratio_q1_exact
-        q_points = [1]
     else:
         if table.q_int != 1:
             raise ValueError("the constant-term route is the q = 1 specialization")
@@ -404,31 +341,28 @@ def ct_check_q1(
         mode = "modular"
         p = table.modulus.p
         qpt = table.qpoint()
+        certval = table.value
 
-        def certval(n, j):
-            return _FpScalar(table.value(n, j), p)
-
-        zero, one, two = _FpScalar(0, p), _FpScalar(1, p), _FpScalar(2, p)
+        def reduce(value):
+            # the kernel series is integral, so the coefficient is an integer
+            return int(value) % p
 
         def expected_ratio(n):
-            return _FpScalar(int(nice_ratio(n, qpt)), p)
+            return int(nice_ratio(n, qpt))
 
-        q_points = [1]
-
-    report = VerificationReport("ct-q1", n_max_ct, q_points, details={"mode": mode})
+    report = VerificationReport("ct-q1", n_max_ct, [1], details={"mode": mode})
     for n in range(1, n_max_ct + 1):
         order = n + 1
         # f_n coefficients: coefficient of x**j is the (n, n-j) certificate value
         f = [certval(n, n - j) for j in range(0, n + 1)]
-        f[n] = zero  # top coefficient reads the out-of-range (n, 0) value
+        f[n] = 0  # top coefficient reads the out-of-range (n, 0) value
         for i in range(1, n + 1):
-            g = _ct_kernel_series(i, order, zero, one, two)
-            value = _series_mul_coeff(g, f, n, zero)
+            g = _ct_kernel_series(i, order)
+            value = reduce(_series_mul_coeff(g, f, n))
             report.checks += 1
-            want = expected_ratio(n) if i == n else zero
+            want = expected_ratio(n) if i == n else 0
             if value != want:
-                as_int = value.v if isinstance(value, _FpScalar) else str(value)
-                report.record_failure(n=n, i=i, value=as_int)
+                report.record_failure(n=n, i=i, value=value if table is not None else str(value))
     report.elapsed = time.perf_counter() - t0
     return report
 

@@ -5,16 +5,16 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qtspp import (  # noqa: E402
+from qtspp.cofactors import build_table  # noqa: E402
+from qtspp.fieldcore import PrimeModulus  # noqa: E402
+from qtspp.guessing import (  # noqa: E402
     AnsatzSupport,
-    PrimeModulus,
-    QPoint,
-    build_table,
     guess_modular,
     reconstruct_symbolic,
     refine_support,
     sweep,
 )
+from qtspp.okada import QPoint  # noqa: E402
 
 P = PrimeModulus()
 

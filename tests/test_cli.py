@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from qtspp import cli
 from qtspp.cli import (
+    MAX_ABS_COEFFICIENT,
     MIN_Q_ORDER,
     PipelineConfig,
     cmd_cofactors,
@@ -12,8 +14,13 @@ from qtspp.cli import (
     main,
 )
 from qtspp.cofactors import build_table, load_table
-from qtspp.fieldcore import PrimeModulus
-from qtspp.guessing import load_recurrence, save_recurrence
+from qtspp.fieldcore import IntegerPoly, PrimeModulus
+from qtspp.guessing import (
+    AnsatzSupport,
+    SymbolicRecurrence,
+    load_recurrence,
+    save_recurrence,
+)
 from qtspp.okada import QPoint
 
 P = PrimeModulus()
@@ -22,6 +29,20 @@ P = PrimeModulus()
 def config(tmp_path, **kw):
     kw.setdefault("out_dir", tmp_path)
     return PipelineConfig(**kw)
+
+
+def implausible_recurrence(monkeypatch):
+    """Make the sweep return nothing and reconstruction a coefficient of 44."""
+    support = AnsatzSupport(((0, 0, 0), (0, 0, 1)))
+    fake = SymbolicRecurrence(
+        support=support,
+        pivot_term=(0, 0, 0),
+        coefficients=[IntegerPoly([1]), IntegerPoly([3, MAX_ABS_COEFFICIENT + 1])],
+        prime=P.p,
+        q_points_used=[2],
+    )
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: [])
+    monkeypatch.setattr(cli, "reconstruct_symbolic", lambda recs: fake)
 
 
 class TestPipelineConfig:
@@ -143,6 +164,15 @@ class TestVerifyCommand:
         ])
         assert rc == 0
 
+    def test_extended_refuses_tiny_order(self, tmp_path, capsys):
+        # checked before the recurrence file is read: it need not exist
+        rc = main([
+            "verify", "extended", "--q", str(P.p - 1),
+            "--in", str(tmp_path / "missing.json"), "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "order" in capsys.readouterr().err
+
     def test_extended_detects_corruption(self, tmp_path, symbolic_rec):
         doc = json.loads(save_recurrence(symbolic_rec, tmp_path / "s.json").read_text())
         doc["coefficients"][5] = [1, 2, 3]
@@ -162,6 +192,22 @@ class TestPipelineQ1:
         out = capsys.readouterr().out
         assert "q=1 pipeline" in out
         assert (tmp_path / "cofactors-q1-n14.txt").exists()
+
+
+class TestPlausibilityGate:
+    def test_pipeline_stops_at_stage_3(self, tmp_path, capsys, monkeypatch):
+        implausible_recurrence(monkeypatch)
+        assert cmd_pipeline(config(tmp_path)) == 1
+        out = capsys.readouterr().out
+        assert "pipeline stopped at stage 3" in out
+        assert f"max |coefficient| = {MAX_ABS_COEFFICIENT + 1}" in out
+        assert "stage 4" not in out
+
+    def test_reconstruct_fails(self, tmp_path, capsys, monkeypatch):
+        implausible_recurrence(monkeypatch)
+        rc = main(["reconstruct", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "plausibility bound" in capsys.readouterr().err
 
 
 class TestMainParsing:

@@ -5,7 +5,6 @@ import pytest
 from qtspp.cofactors import (
     build_table,
     cofactor_by_minors,
-    cofactor_row,
     det_certified,
     det_direct,
     load_table,
@@ -25,21 +24,21 @@ def qp(q):
 
 class TestCofactorRow:
     def test_normalization_only(self):
-        assert [v.value for v in cofactor_row(1, qp(7))] == [1]
+        assert build_table(1, qp(7)).row(1).tolist() == [1]
 
     def test_n2_closed_form(self):
         # single equation: x1 * a(1,1) = -a(1,2)
         for q in GOOD_Q:
             qpt = qp(q)
-            row = cofactor_row(2, qpt)
-            want = -okada_entry(1, 2, qpt) / okada_entry(1, 1, qpt)
-            assert row[0] == want and row[1].value == 1
+            row = build_table(2, qpt).row(2)
+            a11, a12 = okada_entry(1, 1, qpt).value, okada_entry(1, 2, qpt).value
+            want = -a12 * pow(a11, -1, P.p) % P.p
+            assert row.tolist() == [want, 1]
 
     def test_n2_at_unit(self):
-        row = cofactor_row(2, qp(1))
+        row = build_table(2, qp(1)).row(2)
         minus_three_quarters = (-3 * pow(4, -1, P.p)) % P.p
-        assert row[0].value == minus_three_quarters
-        assert row[1].value == 1
+        assert row.tolist() == [minus_three_quarters, 1]
 
 
 class TestBuildTable:
@@ -133,10 +132,10 @@ class TestMinorsOracle:
     def test_matches_row_solve(self):
         for q in GOOD_Q:
             qpt = qp(q)
+            table = build_table(8, qpt)
             for n in range(1, 9):
-                row = cofactor_row(n, qpt)
                 for j in range(1, n + 1):
-                    assert cofactor_by_minors(n, j, qpt) == row[j - 1]
+                    assert cofactor_by_minors(n, j, qpt) == table.value(n, j)
 
     def test_scale_limit(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qtspp.fieldcore import (
+    MAX_MODULUS,
     PoleAtSample,
-    DenseMatrix,
     DuplicateAbscissa,
     FieldElement,
     NoFit,
@@ -15,23 +15,37 @@ from qtspp.fieldcore import (
     PrimeModulus,
     SingularMatrix,
     ZeroInverse,
-    determinant_elim,
+    _inv_mod,
+    _is_prime,
+    det_mod,
     interpolate_poly,
-    mod_inverse,
-    nullspace,
+    matvec_mod,
     nullspace_mod,
     rational_reconstruction_bound,
     reconstruct_rational_function,
     reconstruct_rational_number,
     rref_mod,
-    solve_linear,
+    solve_mod,
 )
 
 P = PrimeModulus()
 
+#: The largest prime <= MAX_MODULUS: products of two residues use almost all
+#: of the signed 64-bit headroom.
+BIG_P = 3037000493
+
 
 def fe(v):
     return FieldElement(v, P)
+
+
+def arr(rows):
+    return np.array(rows, dtype=np.int64)
+
+
+def matvec_exact(a: np.ndarray, x: np.ndarray, p: int) -> list[int]:
+    """a @ x mod p in Python integers, the overflow-free oracle."""
+    return [sum(int(u) * int(v) for u, v in zip(row, x)) % p for row in a]
 
 
 class TestPrimeModulus:
@@ -61,87 +75,77 @@ class TestPrimeModulus:
 
 class TestModInverse:
     def test_identity(self):
-        assert mod_inverse(fe(1)) == fe(1)
+        assert _inv_mod(1, P.p) == 1
 
     def test_two(self):
         # 2 * 2**30 = 2**31 = p + 1
-        assert mod_inverse(fe(2)) == fe(2**30)
-        assert mod_inverse(fe(2)).value == 1073741824
+        assert _inv_mod(2, P.p) == 2**30 == 1073741824
 
     def test_zero_raises(self):
         with pytest.raises(ZeroInverse):
-            mod_inverse(fe(0))
+            _inv_mod(0, P.p)
 
     def test_involution(self):
         rng = random.Random(1)
         for _ in range(200):
-            a = fe(rng.randrange(1, P.p))
-            assert mod_inverse(mod_inverse(a)) == a
-            assert (a * mod_inverse(a)).value == 1
+            a = rng.randrange(1, P.p)
+            assert _inv_mod(_inv_mod(a, P.p), P.p) == a
+            assert a * _inv_mod(a, P.p) % P.p == 1
 
 
 class TestFieldElement:
-    def test_arithmetic(self):
-        a, b = fe(P.p - 1), fe(5)
-        assert (a + b).value == 4
-        assert (b - a).value == 6
-        assert (a * b).value == (P.p - 5) % P.p
-        assert (b / b).value == 1
-        assert (-fe(1)).value == P.p - 1
-        assert fe(3) ** (P.p - 1) == fe(1)
-
     def test_int_interop(self):
-        assert fe(4) + 3 == fe(7)
-        assert 3 + fe(4) == 7
         assert fe(10) == 10 + P.p
+        assert fe(-1) == np.int64(P.p - 1)
+        assert int(fe(P.p + 7)) == fe(7).value == 7
+        assert hash(fe(3)) == hash(fe(3 + P.p))
+        assert not fe(P.p) and fe(1)
+        assert fe(3) != FieldElement(3, PrimeModulus(2**31 - 19))
 
 
 class TestSolveLinear:
     def test_identity_system(self):
-        a = DenseMatrix.identity(3, P)
-        assert [x.value for x in solve_linear(a, [5, 6, 7])] == [5, 6, 7]
+        x = solve_mod(np.eye(3, dtype=np.int64), arr([5, 6, 7]), P.p)
+        assert x.tolist() == [5, 6, 7]
 
     def test_scalar_inverse(self):
-        a = DenseMatrix.from_rows([[2]], P)
-        assert solve_linear(a, [1])[0].value == 1073741824
+        assert solve_mod(arr([[2]]), arr([1]), P.p).tolist() == [1073741824]
 
     def test_two_by_two(self):
         # x + y = 3, x + 2y = 5 has the unique solution (1, 2)
-        a = DenseMatrix.from_rows([[1, 1], [1, 2]], P)
-        assert [x.value for x in solve_linear(a, [3, 5])] == [1, 2]
+        assert solve_mod(arr([[1, 1], [1, 2]]), arr([3, 5]), P.p).tolist() == [1, 2]
 
     def test_singular(self):
-        a = DenseMatrix.from_rows([[1, 1], [2, 2]], P)
         with pytest.raises(SingularMatrix):
-            solve_linear(a, [1, 2])
+            solve_mod(arr([[1, 1], [2, 2]]), arr([1, 2]), P.p)
 
     def test_random_round_trip(self):
         rng = np.random.default_rng(7)
         for n in (1, 3, 10, 25):
             while True:
-                a = DenseMatrix(rng.integers(0, P.p, size=(n, n)), P)
-                if determinant_elim(a).value != 0:
+                a = rng.integers(0, P.p, size=(n, n))
+                if det_mod(a, P.p) != 0:
                     break
             b = rng.integers(0, P.p, size=n)
-            x = np.array([v.value for v in solve_linear(a, b)], dtype=np.int64)
-            got = (a.array * x[None, :] % P.p).sum(axis=1) % P.p
+            x = solve_mod(a, b, P.p)
+            got = (a * x[None, :] % P.p).sum(axis=1) % P.p
             assert np.array_equal(got, b)
 
 
 class TestNullspace:
     def test_full_rank(self):
-        assert nullspace(DenseMatrix.identity(4, P)) == []
+        assert nullspace_mod(np.eye(4, dtype=np.int64), P.p).shape == (0, 4)
 
     def test_zero_map(self):
-        basis = nullspace(DenseMatrix.zeros(2, 3, P))
+        basis = nullspace_mod(np.zeros((2, 3), dtype=np.int64), P.p)
         assert len(basis) == 3
 
     def test_rank_one(self):
-        basis = nullspace(DenseMatrix.from_rows([[1, 1], [2, 2]], P))
+        basis = nullspace_mod(arr([[1, 1], [2, 2]]), P.p)
         assert len(basis) == 1
         v = basis[0]
         # proportional to (1, p-1), i.e. x1 = -x2
-        assert (v[0] + v[1]).value == 0 and v[1].value != 0
+        assert (v[0] + v[1]) % P.p == 0 and v[1] != 0
 
     def test_rank_nullity_random(self):
         rng = np.random.default_rng(11)
@@ -154,13 +158,11 @@ class TestNullspace:
                 rng.integers(0, P.p, size=(rows, r)) @ np.eye(r, dtype=np.int64)
             ) % P.p
             a = a @ rng.integers(0, P.p, size=(r, cols)) % P.p
-            m = DenseMatrix(a, P)
-            _, pivots = rref_mod(m.array, P.p)
-            basis = nullspace(m)
+            _, pivots = rref_mod(a, P.p)
+            basis = nullspace_mod(a, P.p)
             assert len(pivots) + len(basis) == cols
-            for vec in basis:
-                x = np.array([v.value for v in vec], dtype=np.int64)
-                assert not ((m.array * x[None, :] % P.p).sum(axis=1) % P.p).any()
+            for x in basis:
+                assert not ((a * x[None, :] % P.p).sum(axis=1) % P.p).any()
 
     def test_reduced_echelon_normalization(self):
         basis = nullspace_mod(
@@ -191,23 +193,69 @@ def det_cofactor_expansion(a: np.ndarray, p: int) -> int:
 class TestDeterminant:
     def test_identity(self):
         for n in (1, 2, 5):
-            assert determinant_elim(DenseMatrix.identity(n, P)).value == 1
+            assert det_mod(np.eye(n, dtype=np.int64), P.p) == 1
 
     def test_two_by_two(self):
-        assert determinant_elim(DenseMatrix.from_rows([[1, 1], [1, 2]], P)).value == 1
+        assert det_mod(arr([[1, 1], [1, 2]]), P.p) == 1
 
     def test_repeated_row(self):
-        assert determinant_elim(DenseMatrix.from_rows([[1, 1], [2, 2]], P)).value == 0
+        assert det_mod(arr([[1, 1], [2, 2]]), P.p) == 0
 
     def test_against_cofactor_expansion(self):
         rng = np.random.default_rng(3)
         for n in range(1, 6):
             for _ in range(5):
                 a = rng.integers(0, P.p, size=(n, n))
-                m = DenseMatrix(a, P)
-                assert determinant_elim(m).value == det_cofactor_expansion(
-                    m.array, P.p
-                )
+                assert det_mod(a, P.p) == det_cofactor_expansion(a, P.p)
+
+
+class TestLargestModulus:
+    """Elimination with residues near BIG_P, where p**2 nearly fills int64."""
+
+    def test_big_p_is_the_largest_admissible_prime(self):
+        assert PrimeModulus(BIG_P).p == BIG_P
+        assert not any(_is_prime(m) for m in range(BIG_P + 1, MAX_MODULUS + 1))
+
+    @staticmethod
+    def near_p(rng, shape):
+        return BIG_P - rng.integers(1, 1000, size=shape)
+
+    def test_solve_round_trip(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 5, 40):
+            a = self.near_p(rng, (n, n))
+            b = self.near_p(rng, n)
+            x = solve_mod(a, b, BIG_P)
+            assert matvec_exact(a, x, BIG_P) == b.tolist()
+            assert matvec_mod(a, x, BIG_P).tolist() == b.tolist()
+
+    def test_nullspace_round_trip(self):
+        rng = np.random.default_rng(19)
+        for rows, cols, rank in ((30, 50, 12), (60, 40, 25)):
+            left = self.near_p(rng, (rows, rank))
+            right = self.near_p(rng, (rank, cols))
+            a = np.array(
+                [[sum(int(u) * int(v) for u, v in zip(r, c)) % BIG_P for c in right.T]
+                 for r in left],
+                dtype=np.int64,
+            )
+            basis = nullspace_mod(a, BIG_P)
+            assert len(basis) == cols - rank
+            for x in basis:
+                assert not any(matvec_exact(a, x, BIG_P))
+                assert not matvec_mod(a, x, BIG_P).any()
+
+    def test_det_against_cofactor_expansion(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 7):
+            a = self.near_p(rng, (n, n))
+            assert det_mod(a, BIG_P) == det_cofactor_expansion(a, BIG_P)
+
+    def test_matvec_matches_exact(self):
+        rng = np.random.default_rng(29)
+        a = self.near_p(rng, (20, 300))
+        x = self.near_p(rng, 300)
+        assert matvec_mod(a, x, BIG_P).tolist() == matvec_exact(a, x, BIG_P)
 
 
 class TestInterpolation:
@@ -240,15 +288,15 @@ class TestInterpolation:
 class TestRationalFunctionReconstruction:
     def test_polynomial_case(self):
         pts = [(x, x) for x in range(1, 6)]
-        f = reconstruct_rational_function(pts, 1, 1, P)
-        assert f.numerator.coeffs == [0, 1] and f.denominator.coeffs == [1]
+        num, den = reconstruct_rational_function(pts, 1, 1, P)
+        assert num.coeffs == [0, 1] and den.coeffs == [1]
 
     def test_simple_pole(self):
         # f(x) = 1/(x+1); avoid the pole at x = p-1
         pts = [(x, pow(x + 1, -1, P.p)) for x in range(6)]
-        f = reconstruct_rational_function(pts, 1, 1, P)
-        assert f.numerator.coeffs == [1]
-        assert f.denominator.coeffs == [1, 1]
+        num, den = reconstruct_rational_function(pts, 1, 1, P)
+        assert num.coeffs == [1]
+        assert den.coeffs == [1, 1]
 
     def test_no_fit(self):
         rng = random.Random(9)
@@ -290,25 +338,25 @@ class TestRationalFunctionReconstruction:
             pts = [
                 (x, num(x) * pow(den(x), -1, P.p) % P.p) for x in xs if den(x) != 0
             ]
-            f = reconstruct_rational_function(pts, 10, 10, P)
+            f_num, f_den = reconstruct_rational_function(pts, 10, 10, P)
             for x, y in pts:
-                assert f(x) == y
+                assert f_num(x) == y * f_den(x) % P.p
             # exact recovery: monic denominator, numerator rescaled to match
             lead_inv = pow(den.leading_coefficient(), -1, P.p)
-            assert f.denominator == den.monic()
-            assert f.numerator == num.scale(lead_inv)
+            assert f_den == den.monic()
+            assert f_num == num.scale(lead_inv)
 
 
 class TestRationalNumberReconstruction:
     def test_small_integer(self):
-        assert reconstruct_rational_number(fe(5)) == (5, 1)
+        assert reconstruct_rational_number(5, P.p) == (5, 1)
 
     def test_two_thirds(self):
-        r = fe(2) * mod_inverse(fe(3))
-        assert reconstruct_rational_number(r) == (2, 3)
+        r = 2 * _inv_mod(3, P.p)
+        assert reconstruct_rational_number(r, P.p) == (2, 3)
 
     def test_negative(self):
-        assert reconstruct_rational_number(fe(-7)) == (-7, 1)
+        assert reconstruct_rational_number(-7, P.p) == (-7, 1)
 
     def test_counterexample_residue(self):
         # oracle: scan every admissible denominator for a representable pair
@@ -327,11 +375,11 @@ class TestRationalNumberReconstruction:
         # first residue at or above that anchor the scan oracle certifies as
         # outside every class |a|, b <= floor(sqrt(p/2)) is this one
         assert representable(P.p // 2 + 7)
-        assert reconstruct_rational_number(fe(P.p // 2 + 7)) == (13, 2)
+        assert reconstruct_rational_number(P.p // 2 + 7, P.p) == (13, 2)
         r = 1073758208
         assert not representable(r)
         with pytest.raises(NoReconstruction):
-            reconstruct_rational_number(fe(r))
+            reconstruct_rational_number(r, P.p)
 
     def test_exhaustive_small_rationals(self):
         # every reduced a/b with |a|, b <= 1000 round-trips through its residue
@@ -342,5 +390,5 @@ class TestRationalNumberReconstruction:
             for a in range(-bound, bound + 1):
                 if math.gcd(a, b) != 1:
                     continue
-                got = reconstruct_rational_number(fe(a * inv_b))
+                got = reconstruct_rational_number(a * inv_b, P.p)
                 assert got == (a, b)

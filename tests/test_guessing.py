@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from qtspp import cli
 from qtspp.cofactors import CofactorTable, build_table
-from qtspp.fieldcore import IntegerPoly, PrimeModulus, nullspace_mod
+from qtspp.fieldcore import IntegerPoly, PrimeModulus, WorkbenchError, nullspace_mod
 from qtspp.guessing import (
     AnsatzSupport,
     InsufficientData,
@@ -75,7 +76,7 @@ class TestAnsatzSupport:
 class TestBuildEquations:
     def test_shape(self, table_q2, full_support):
         m = build_equations(table_q2, full_support)
-        assert (m.rows, m.cols) == (630, 440)
+        assert m.shape == (630, 440)
 
     def test_insufficient_data(self):
         t = build_table(10, qp(3))
@@ -86,7 +87,7 @@ class TestBuildEquations:
         t = build_table(4, qp(3))
         sup = AnsatzSupport(((0, 0, 0),), (0, 0, 0))
         m = build_equations(t, sup)
-        col = m.array[:, 0].tolist()
+        col = m[:, 0].tolist()
         want = [t.value(n, j) for n in range(1, 5) for j in range(1, n + 1)]
         assert col == want
         with pytest.raises(NoRecurrence):
@@ -99,7 +100,7 @@ class TestBuildEquations:
         rows = [(n, j) for n in range(1, 14) for j in range(1, n + 1)]
         for r, (n, j) in enumerate(rows):
             want = pow(5, 2 * n + j, P.p) * t.value(n, j + 3) % P.p
-            assert m.array[r, 0] == want
+            assert m[r, 0] == want
 
 
 class TestGuessModular:
@@ -116,7 +117,7 @@ class TestGuessModular:
             guess_modular(t, AnsatzSupport.full())
 
     def test_pivot_invariance_under_row_shuffle(self, table_q2, full_support):
-        m = build_equations(table_q2, full_support).array
+        m = build_equations(table_q2, full_support)
         rng = np.random.default_rng(2)
         shuffled = m[rng.permutation(m.shape[0])]
         b1 = nullspace_mod(m, P.p)
@@ -228,7 +229,7 @@ class TestShiftedMode:
         sup = AnsatzSupport.full(0, 0, 0, shift_n_max=1)
         m = build_equations(t, sup)
         # rows stop at n_max - 1 so that n + 1 stays inside the table
-        assert m.rows == sum(range(1, 12)) and m.cols == 2
+        assert m.shape == (sum(range(1, 12)), 2)
 
     def test_finds_pure_n_step_relation(self):
         # synthetic table with B(n, j) = q^j: rows repeat, so the relation
@@ -293,18 +294,16 @@ class TestReconstructSymbolic:
         with pytest.raises(ReconstructionFailed):
             reconstruct_symbolic(recs)
 
-    def test_artefact_warning(self, caplog):
-        import logging
-
+    def test_artefact_trips_plausibility_gate(self, tmp_path, monkeypatch):
         # two coprime near-bound denominators force cleared integers around
-        # 32749 * 32719, far above the 10^6 plausibility threshold
+        # 32749 * 32719, far above the command line's plausibility bound
         sup = AnsatzSupport(((0, 0, 0), (1, 0, 0), (0, 1, 0)), (1, 1, 0))
         funcs = [([1], [1]), ([32717], [32749]), ([32603], [32719])]
         recs = synthetic_recs(sup, (0, 0, 0), funcs, range(2, 22))
-        with caplog.at_level(logging.WARNING, logger="qtspp.guessing"):
-            sym = reconstruct_symbolic(recs)
-        assert sym.max_abs_coefficient() > 10**6
-        assert any("artefact" in r.message for r in caplog.records)
+        assert reconstruct_symbolic(recs).max_abs_coefficient() > 10**6
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: recs)
+        with pytest.raises(WorkbenchError, match="plausibility bound"):
+            cli.cmd_reconstruct(cli.PipelineConfig(out_dir=tmp_path))
 
     def test_real_fingerprint(self, symbolic_rec):
         assert symbolic_rec.joint_content() == 1
@@ -318,6 +317,17 @@ class TestReconstructSymbolic:
             assert factor != 0
             want = rec.coefficients * factor % P.p
             assert np.array_equal(vals, want)
+
+
+class TestLargestModulus:
+    def test_guess_annihilates_table(self, full_support):
+        # 3037000493 is the largest prime <= MAX_MODULUS
+        big = PrimeModulus(3037000493)
+        table = build_table(35, QPoint(2, big))
+        rec = guess_modular(table, full_support)
+        assert len(rec.support) == 440
+        assert (rec.nullspace_dim, rec.zero_count()) == (1, 110)
+        assert not annihilation_residuals(rec, table).any()
 
 
 class TestPersistence:

@@ -133,7 +133,7 @@ class TestOkadaEntry:
             sl = okada_slice(9, qpt)
             for i in range(1, 10):
                 for j in range(1, 10):
-                    assert sl.entry(i, j) == okada_entry(i, j, qpt)
+                    assert okada_entry(i, j, qpt) == sl[i - 1, j - 1]
 
     def test_bad_indices(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from qtspp.verify import (
     check_soichi,
     cofactor_rows_q1_exact,
     ct_check_q1,
-    okada_residual_degree_bound,
     select_q_points,
 )
 
@@ -119,14 +117,6 @@ class TestIdentityChecks:
         rep = check_okada(bad, 10)
         assert not rep.passed
 
-    def test_okada_transfer_audit(self):
-        t = build_table(4, qp(5))
-        rep = check_okada(t, 4)
-        audit = rep.details["numeric_to_symbolic_transfer"]
-        assert audit["4"]["degree_bound"] == okada_residual_degree_bound(4)
-        assert audit["4"]["points"] == 1
-        assert not audit["4"]["symbolic_by_evaluation"]
-
     def test_normalization(self):
         t = build_table(9, qp(23))
         assert check_normalization(t).passed
@@ -136,6 +126,20 @@ class TestIdentityChecks:
 
     def test_normalization_single_row(self):
         assert check_normalization(build_table(1, qp(3))).passed
+
+
+class TestLargestModulus:
+    def test_identity_suite(self):
+        # 3037000493 is the largest prime <= MAX_MODULUS
+        big = PrimeModulus(3037000493)
+        qs = select_q_points(3, 30, big)
+        tables = [build_table(30, QPoint(q, big)) for q in qs]
+        for rep in (
+            check_soichi(tables, 30),
+            check_okada(tables, 30),
+            check_normalization(tables),
+        ):
+            assert rep.passed and rep.checks > 0, rep.summary_line()
 
 
 class TestSelectQPoints:
@@ -236,7 +240,7 @@ class TestConstantTermRoute:
 
     def test_truncation_guard(self):
         with pytest.raises(SeriesTruncationTooShort):
-            _ct_kernel_series(5, 3, Fraction(0), Fraction(1), Fraction(2))
+            _ct_kernel_series(5, 3)
 
 
 class TestReportSerialization:
