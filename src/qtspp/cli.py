@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cofactors import CofactorTable, build_table, load_table
-from .fieldcore import DEFAULT_PRIME, PrimeModulus, SingularMatrix, WorkbenchError
+from .fieldcore import DEFAULT_PRIME, PrimeModulus, WorkbenchError
 from .guessing import (
     AnsatzSupport,
     refine_support,
@@ -456,9 +456,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pipeline":
             return cmd_pipeline(config, q1=args.q1)
         raise WorkbenchError(f"unknown command {args.command!r}")
-    except SingularMatrix as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,9 +5,11 @@ nullspace / determinant by Gaussian elimination, each taking an explicit
 p), univariate polynomials with interpolation, and the two reconstruction
 algorithms that lift modular images back to symbolic objects: rational
 functions over GF(p) (Cauchy interpolation via the extended Euclidean
-algorithm, returned as a numerator / monic denominator pair) and rational
-numbers from a single residue.  FieldElement is only the read-only result
-type of the public scalar functions; arithmetic runs on plain ints.
+algorithm, with no degree bounds: the candidate is the one before the
+quotient of maximal degree, returned as a numerator / monic denominator
+pair) and rational numbers from a single residue.  FieldElement is only
+the read-only result type of the public scalar functions; arithmetic runs
+on plain ints.
 
 The modulus is kept small enough that a product of two residues never
 overflows a signed 64-bit word, so elimination needs only elementwise
@@ -47,7 +49,7 @@ class DuplicateAbscissa(WorkbenchError):
 
 
 class NoFit(WorkbenchError):
-    """No rational function within the degree bounds matches the samples."""
+    """No rational function fits the samples with a surplus sample to spare."""
 
 
 class PoleAtSample(WorkbenchError):
@@ -493,52 +495,58 @@ def _radix_product(xs: Sequence[int], modulus: PrimeModulus) -> PolyOverField:
 
 
 def reconstruct_rational_function(
-    points: Sequence[tuple[int, int]],
-    deg_num_bound: int,
-    deg_den_bound: int,
-    modulus: PrimeModulus,
+    points: Sequence[tuple[int, int]], modulus: PrimeModulus
 ) -> tuple[PolyOverField, PolyOverField]:
-    """Fit n(x)/d(x) with deg n <= deg_num_bound, deg d <= deg_den_bound.
+    """Fit n(x)/d(x) through the samples, with no degree bounds.
 
-    Cauchy interpolation: interpolate a polynomial g through all samples,
-    then run the extended Euclidean algorithm on (prod(x - xi), g) until the
-    remainder degree drops to the numerator bound.  The surplus samples
-    (at least one is required beyond deg_num_bound + deg_den_bound + 1)
-    validate the candidate; a candidate whose denominator vanishes at a
-    sample raises PoleAtSample so the caller can discard that sample.
-    Returns the coprime pair (numerator, monic denominator).
+    Cauchy interpolation with maximal-quotient selection (Monagan, ISSAC
+    2004): interpolate a polynomial g through all N samples and run the
+    extended Euclidean algorithm on (prod(x - xi), g).  Every remainder
+    r with cofactor t satisfies r(xi) = t(xi) * yi, and deg r + deg t =
+    N - deg q, where q is the quotient that r divides next.  So the pair
+    just before the quotient of largest degree leaves the most samples
+    unused by the fit, deg q - 1 of them; those surplus samples are what
+    make the fit believable.  Raises NoFit when no quotient reaches degree
+    2 (no surplus sample) or when the largest degree is not unique.  A
+    candidate whose denominator vanishes at a sample raises PoleAtSample so
+    the caller can discard that sample.  Returns the coprime pair
+    (numerator, monic denominator).
     """
-    if deg_num_bound < 0 or deg_den_bound < 0:
-        raise ValueError("degree bounds must be nonnegative")
-    if len(points) < deg_num_bound + deg_den_bound + 2:
-        raise ValueError(
-            f"need at least {deg_num_bound + deg_den_bound + 2} points, got {len(points)}"
-        )
     p = modulus.p
     xs = [int(x) % p for x, _ in points]
     ys = [int(y) % p for _, y in points]
     g = interpolate_poly(list(zip(xs, ys)), modulus)
-    m = _radix_product(xs, modulus)
 
-    r0, r1 = m, g
+    r0_degree, r1 = len(xs), g
     t0 = PolyOverField.zero(modulus)
     t1 = PolyOverField.constant(1, modulus)
-    while r1.degree > deg_num_bound:
+    r0 = None  # prod(x - xi), built only if a Euclidean step is needed
+    best, best_degree, tied = None, 1, False
+    while True:
+        q_degree = r0_degree - r1.degree
+        if q_degree > best_degree:
+            best, best_degree, tied = (r1, t1), q_degree, False
+        elif q_degree == best_degree:
+            tied = True
+        # the quotients still to come have degrees summing to at most deg r1
+        if best_degree > r1.degree:
+            break
+        if r0 is None:
+            r0 = _radix_product(xs, modulus)
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
+        r0_degree = r0.degree
         t0, t1 = t1, t0 - q * t1
 
-    num, den = r1, t1
-    if den.is_zero():
-        raise NoFit("degenerate Euclidean step")
-    if den.degree > deg_den_bound:
-        raise NoFit(
-            f"denominator degree {den.degree} exceeds bound {deg_den_bound}"
-        )
+    if best is None:
+        raise NoFit(f"no surplus sample among {len(xs)}")
+    if tied:
+        raise NoFit(f"two candidates leave {best_degree - 1} surplus samples each")
+    num, den = best
     g = num.gcd(den)
     if g.degree > 0:
         # a common factor vanishing at a sample means the target function
-        # has a pole there: that sample must be discarded, not the bounds
+        # has a pole there: that sample must be discarded
         for x in xs:
             if g(x) == 0:
                 raise PoleAtSample(x)

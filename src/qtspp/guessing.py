@@ -6,7 +6,8 @@ c[alpha, beta, gamma] * q**(alpha*n) * q**(beta*j) * B(n, j + gamma) = 0,
 one equation per table position, extract the modular nullspace, refine the
 support by dropping zero coefficients, repeat the computation across a range
 of q points, and reconstruct the coefficients as integer polynomials in q
-via rational function and rational number reconstruction.
+via rational function reconstruction over one shared denominator, then
+rational number reconstruction.
 
 Terms may optionally carry a shift in n as well ((alpha, beta, shift_n,
 shift_j) quadruples), so recurrences that step in n can be sought with the
@@ -34,6 +35,7 @@ from .fieldcore import (
     NoFit,
     PoleAtSample,
     NoReconstruction,
+    PolyOverField,
     PrimeModulus,
     SingularMatrix,
     WorkbenchError,
@@ -452,63 +454,6 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-def _fraction_poly_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fraction_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _fraction_poly_trim(out)
-
-
-def _fraction_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    if len(rem) < len(b):
-        return [], _fraction_poly_trim(rem)
-    quot = [Fraction(0)] * (len(rem) - len(b) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(b) - 1] / b[-1]
-        if c:
-            quot[k] = c
-            for i, bc in enumerate(b):
-                rem[k + i] -= c * bc
-    return _fraction_poly_trim(quot), _fraction_poly_trim(rem)
-
-
-def _fraction_poly_monic(a: list[Fraction]) -> list[Fraction]:
-    if not a:
-        return a
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _fraction_poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fraction_poly_divmod(a, b)[1]
-    return _fraction_poly_monic(a)
-
-
-def _fraction_poly_lcm(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    g = _fraction_poly_gcd(a, b)
-    q, r = _fraction_poly_divmod(a, g)
-    assert not r
-    return _fraction_poly_monic(_fraction_poly_mul(q, b))
-
-
 def _lift_poly_coeffs(coeffs: Sequence[int], p: int) -> list[Fraction]:
     out = []
     for c in coeffs:
@@ -517,19 +462,20 @@ def _lift_poly_coeffs(coeffs: Sequence[int], p: int) -> list[Fraction]:
     return out
 
 
-def reconstruct_symbolic(
-    recs: Sequence[ModularRecurrence],
-    start_bounds: tuple[int, int] = (5, 5),
-    cap_bounds: tuple[int, int] = (64, 64),
-) -> SymbolicRecurrence:
+def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrence:
     """Combine a sweep's modular recurrences into integer polynomials in q.
 
-    Per term: Cauchy-interpolate the (q, coefficient) samples as a rational
-    function over GF(p) under adaptively doubled degree bounds, lift its
-    coefficients to rationals by rational number reconstruction, clear the
-    common polynomial and scalar denominators across the whole coefficient
-    vector, and divide by the joint integer content.  The result is
-    re-verified against every sample before it is returned.
+    Every coefficient is a rational function of q over one shared
+    denominator, which is built over GF(p) while walking the terms: starting
+    from D = 1, each term's (q, coefficient * D(q)) samples are fitted as a
+    rational function without degree bounds (maximal-quotient selection, see
+    reconstruct_rational_function), and D is multiplied by the fitted monic
+    denominator.  D so ends as the monic lcm of all denominators, and a
+    term's polynomial is its fitted numerator times the denominators found
+    after it.  Those coefficients are lifted to rationals by rational number
+    reconstruction, the scalar denominators are cleared, and the joint
+    integer content is divided out.  The result is re-verified against
+    every sample before it is returned.
     """
     if not recs:
         raise TooFewPoints("no modular recurrences to combine")
@@ -546,46 +492,36 @@ def reconstruct_symbolic(
         raise ValueError("q points collide mod p")
     samples_by_term = np.stack([r.coefficients for r in recs], axis=1)
 
-    fitted: list[tuple[list[Fraction], list[Fraction]]] = []
+    d_at = [1] * len(xs)  # the common denominator D at every sample
+    fitted: list[tuple[PolyOverField, PolyOverField]] = []
     for k, term in enumerate(support.terms):
-        points = list(zip(xs, (int(v) for v in samples_by_term[k])))
-        dn, dd = start_bounds
+        points = [(x, int(v) * d % p) for x, v, d in zip(xs, samples_by_term[k], d_at)]
         while True:
-            if len(points) < dn + dd + 2:
-                raise ReconstructionFailed(
-                    f"term {term}: {len(points)} samples cannot support degree "
-                    f"bounds ({dn}, {dd}); widen the sweep"
-                )
             try:
-                num_fit, den_fit = reconstruct_rational_function(points, dn, dd, modulus)
+                num, den = reconstruct_rational_function(points, modulus)
                 break
-            except NoFit:
-                if (dn, dd) >= cap_bounds:
-                    raise ReconstructionFailed(
-                        f"term {term}: no rational function fit within cap {cap_bounds}"
-                    )
-                dn = min(2 * dn, cap_bounds[0])
-                dd = min(2 * dd, cap_bounds[1])
+            except NoFit as exc:
+                raise ReconstructionFailed(
+                    f"term {term}: no rational function fits its {len(points)} "
+                    f"samples ({exc}); widen the sweep"
+                ) from exc
             except PoleAtSample as exc:
                 log.warning("term %s: dropping sample at x=%d (pole)", term, exc.x)
                 points = [pt for pt in points if pt[0] != exc.x]
+        fitted.append((num, den))
+        d_at = [d * den(x) % p for d, x in zip(d_at, xs)]
+
+    cleared: list[list[Fraction]] = []
+    later = PolyOverField.constant(1, modulus)
+    for term, (num, den) in zip(reversed(support.terms), reversed(fitted)):
         try:
-            num = _lift_poly_coeffs(num_fit.coeffs, p)
-            den = _lift_poly_coeffs(den_fit.coeffs, p)
+            cleared.append(_lift_poly_coeffs((num * later).coeffs, p))
         except NoReconstruction as exc:
             raise ReconstructionFailed(
                 f"term {term}: rational lift failed ({exc}); widen the sweep"
             ) from exc
-        fitted.append((num, den))
-
-    common_den: list[Fraction] = [Fraction(1)]
-    for _, den in fitted:
-        common_den = _fraction_poly_lcm(common_den, den)
-    cleared: list[list[Fraction]] = []
-    for num, den in fitted:
-        mult, rem = _fraction_poly_divmod(common_den, den)
-        assert not rem
-        cleared.append(_fraction_poly_mul(num, mult))
+        later = later * den
+    cleared.reverse()
 
     scalar = 1
     for poly in cleared:

@@ -288,17 +288,19 @@ class TestInterpolation:
 class TestRationalFunctionReconstruction:
     def test_polynomial_case(self):
         pts = [(x, x) for x in range(1, 6)]
-        num, den = reconstruct_rational_function(pts, 1, 1, P)
+        num, den = reconstruct_rational_function(pts, P)
         assert num.coeffs == [0, 1] and den.coeffs == [1]
 
     def test_simple_pole(self):
         # f(x) = 1/(x+1); avoid the pole at x = p-1
         pts = [(x, pow(x + 1, -1, P.p)) for x in range(6)]
-        num, den = reconstruct_rational_function(pts, 1, 1, P)
+        num, den = reconstruct_rational_function(pts, P)
         assert num.coeffs == [1]
         assert den.coeffs == [1, 1]
 
     def test_no_fit(self):
+        # a (3, 3) function has 7 free coefficients: 7 samples leave no
+        # surplus sample to confirm a fit, 10 samples leave three
         rng = random.Random(9)
         num = PolyOverField([rng.randrange(1, P.p) for _ in range(4)], P)
         den = PolyOverField([rng.randrange(1, P.p) for _ in range(3)] + [1], P)
@@ -309,11 +311,20 @@ class TestRationalFunctionReconstruction:
             if dv:
                 pts.append((x, num(x) * pow(dv, -1, P.p) % P.p))
         with pytest.raises(NoFit):
-            reconstruct_rational_function(pts[:10], 1, 1, P)
+            reconstruct_rational_function(pts[:7], P)
+        f_num, f_den = reconstruct_rational_function(pts[:10], P)
+        assert f_den == den
+        assert f_num == num
 
     def test_needs_surplus_point(self):
-        with pytest.raises(ValueError):
-            reconstruct_rational_function([(1, 1), (2, 2), (3, 3)], 1, 1, P)
+        with pytest.raises(NoFit):
+            reconstruct_rational_function([(1, 1), (2, 2)], P)
+
+    def test_ambiguous_fit(self):
+        # x^2 and 4/(5 - x^2) agree at x = +-1, +-2, each with one sample to
+        # spare: with two equally good candidates there is no fit
+        with pytest.raises(NoFit):
+            reconstruct_rational_function([(x, x * x) for x in (-1, 1, -2, 2)], P)
 
     def test_pole_at_sample(self):
         # samples of 1/(x - 5), with a junk value recorded at the pole x = 5
@@ -321,7 +332,7 @@ class TestRationalFunctionReconstruction:
         pts = [(x, pow(x - 5, -1, P.p)) for x in (1, 2, 3, 4, 6, 7, 8)]
         pts.append((5, 12345))
         with pytest.raises(PoleAtSample) as info:
-            reconstruct_rational_function(pts, 2, 2, P)
+            reconstruct_rational_function(pts, P)
         assert info.value.x == 5
 
     def test_round_trip_random(self):
@@ -338,7 +349,7 @@ class TestRationalFunctionReconstruction:
             pts = [
                 (x, num(x) * pow(den(x), -1, P.p) % P.p) for x in xs if den(x) != 0
             ]
-            f_num, f_den = reconstruct_rational_function(pts, 10, 10, P)
+            f_num, f_den = reconstruct_rational_function(pts, P)
             for x, y in pts:
                 assert f_num(x) == y * f_den(x) % P.p
             # exact recovery: monic denominator, numerator rescaled to match

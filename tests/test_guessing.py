@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qtspp.guessing import (
     guess_modular,
     load_recurrence,
     reconstruct_symbolic,
+    recurrence_to_json,
     refine_support,
     save_recurrence,
     sweep,
@@ -27,6 +29,7 @@ from qtspp.guessing import (
 from qtspp.okada import QPoint
 
 P = PrimeModulus()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def qp(q):
@@ -267,16 +270,22 @@ class TestReconstructSymbolic:
     def test_synthetic_round_trip(self):
         # coefficients 1, (q^2+1)/(q-3), (2q-5)/(q-3) should clear to
         # (q-3), (q^2+1), (2q-5) with joint content 1; q=3 is a pole, and a
-        # real sweep would have skipped it (pivot normalization fails there)
+        # real sweep would have skipped it (pivot normalization fails there).
+        # With (q+2) as the third denominator the common denominator is the
+        # product (q-3)(q+2).
         sup = AnsatzSupport(((0, 0, 0), (1, 0, 0), (0, 1, 0)), (1, 1, 0))
-        funcs = [([1], [1]), ([1, 0, 1], [-3, 1]), ([-5, 2], [-3, 1])]
+        cases = [
+            ([([1], [1]), ([1, 0, 1], [-3, 1]), ([-5, 2], [-3, 1])],
+             [[-3, 1], [1, 0, 1], [-5, 2]]),
+            ([([1], [1]), ([1, 0, 1], [-3, 1]), ([-5, 2], [2, 1])],
+             [[-6, -1, 1], [2, 1, 2, 1], [15, -11, 2]]),
+        ]
         q_points = [q for q in range(2, 43) if q != 3]
-        recs = synthetic_recs(sup, (0, 0, 0), funcs, q_points)
-        sym = reconstruct_symbolic(recs)
-        assert sym.coefficients[0] == IntegerPoly([-3, 1])
-        assert sym.coefficients[1] == IntegerPoly([1, 0, 1])
-        assert sym.coefficients[2] == IntegerPoly([-5, 2])
-        assert sym.q_points_used == q_points
+        for funcs, want in cases:
+            recs = synthetic_recs(sup, (0, 0, 0), funcs, q_points)
+            sym = reconstruct_symbolic(recs)
+            assert sym.coefficients == [IntegerPoly(c) for c in want]
+            assert sym.q_points_used == q_points
 
     def test_constant_coefficients(self):
         sup = AnsatzSupport(((0, 0, 0), (1, 0, 0)), (1, 0, 0))
@@ -287,10 +296,33 @@ class TestReconstructSymbolic:
         assert sym.coefficients[1] == IntegerPoly([7])
         assert all(c.degree == 0 for c in sym.coefficients)
 
-    def test_too_few_points_for_bounds(self):
+    def test_high_degree_denominator(self):
+        # 1/(1 + q^70) needs 72 samples; no degree bound stands in the way
         sup = AnsatzSupport(((0, 0, 0), (1, 0, 0)), (1, 0, 0))
-        funcs = [([1], [1]), ([7], [1])]
-        recs = synthetic_recs(sup, (0, 0, 0), funcs, range(2, 8))
+        den = [1] + [0] * 69 + [1]
+        recs = synthetic_recs(sup, (0, 0, 0), [([1], [1]), ([1], den)], range(2, 151))
+        sym = reconstruct_symbolic(recs)
+        assert sym.coefficients == [IntegerPoly(den), IntegerPoly([1])]
+
+    def test_too_few_points(self):
+        # a linear coefficient from two samples leaves no surplus sample
+        sup = AnsatzSupport(((0, 0, 0), (1, 0, 0)), (1, 0, 0))
+        funcs = [([1], [1]), ([0, 1], [1])]
+        recs = synthetic_recs(sup, (0, 0, 0), funcs, range(2, 4))
+        with pytest.raises(ReconstructionFailed, match="widen the sweep"):
+            reconstruct_symbolic(recs)
+
+    def test_rejects_bad_samples(self):
+        sup = AnsatzSupport(((0, 0, 0), (1, 0, 0), (0, 1, 0)), (1, 1, 0))
+        funcs = [([1], [1]), ([1, 0, 1], [-3, 1]), ([-5, 2], [-3, 1])]
+        q_points = [q for q in range(2, 43) if q != 3]
+        recs = synthetic_recs(sup, (0, 0, 0), funcs, q_points)
+        recs[17].coefficients[1] = (recs[17].coefficients[1] + 1) % P.p
+        with pytest.raises(ReconstructionFailed):
+            reconstruct_symbolic(recs)
+        rng = np.random.default_rng(3)
+        for r in recs:
+            r.coefficients[1:] = rng.integers(0, P.p, size=2)
         with pytest.raises(ReconstructionFailed):
             reconstruct_symbolic(recs)
 
@@ -308,6 +340,10 @@ class TestReconstructSymbolic:
     def test_real_fingerprint(self, symbolic_rec):
         assert symbolic_rec.joint_content() == 1
         assert symbolic_rec.max_abs_coefficient() <= 43
+
+    def test_bytes_match_the_benchmark_fixture(self, symbolic_rec):
+        fixture = ROOT / "perfbench" / "fixtures" / "recurrence-symbolic.json"
+        assert recurrence_to_json(symbolic_rec).encode() == fixture.read_bytes()
 
     def test_specialization_matches_samples(self, symbolic_rec, sweep_recs):
         piv = symbolic_rec.support.terms.index(symbolic_rec.pivot_term)
