@@ -27,7 +27,7 @@ from .guessing import (
     save_recurrence,
     sweep,
 )
-from .okada import QPoint, qtspp_orbit_product
+from .okada import MIN_Q_ORDER, QPoint, qtspp_orbit_product
 from .verify import (
     VerificationReport,
     brute_force_qtspp,
@@ -43,11 +43,6 @@ from .verify import (
 log = logging.getLogger(__name__)
 
 OUT_DIR_ENV = "QTSPP_OUT"
-
-#: q points of multiplicative order below this are refused outright: the
-#: matrix entries collapse there (order 2 zeroes the (1,1) entry, order 3
-#: the (1,2) entry) and no useful table exists.
-MIN_Q_ORDER = 4
 
 #: Plausibility gate on the reconstructed recurrence: a genuine recurrence
 #: has tiny integer coefficients, an artefact solution shows integers on the

@@ -4,8 +4,11 @@ The certificate table holds, for one (q point, prime) pair, the normalized
 last-row cofactors of every leading principal minor of the entry matrix:
 row n is the unique vector x with x[n] = 1 that is orthogonal to rows
 1..n-1 of the matrix (the orthogonality and normalization identities).
-Each row comes from an independent dense solve over GF(p) and is re-checked
-against the orthogonality identity before the table is accepted.
+The rows are nested kernels of one matrix, so one GF(p) elimination yields
+every row whose leading minor is a unit mod p; each remaining row takes one
+elimination mod p**PADIC_PRECISION, and running out of those digits raises
+PrecisionExhausted.  Every row is re-checked against the orthogonality
+identity before the table is accepted.
 
 Independent oracles: direct determinant elimination, the telescoped
 certificate product, and a minors-based cofactor computation at small sizes.
@@ -24,10 +27,11 @@ from .fieldcore import (
     FieldElement,
     PrimeModulus,
     SingularMatrix,
+    WorkbenchError,
     _inv_mod,
     det_mod,
+    leading_kernels_mod,
     matvec_mod,
-    solve_mod,
 )
 from .okada import QPoint, okada_slice
 
@@ -175,213 +179,124 @@ def load_table(path: str | Path) -> CofactorTable:
 # ---------------------------------------------------------------------------
 #
 # At a q point of small multiplicative order (2 has order 31 mod 2**31 - 1)
-# some leading determinants of the entry matrix are divisible by p, so the
-# mod-p minor systems are singular even though the certificate values
-# themselves are p-integral (the prime powers cancel between minors).  Rows
-# hit by this are re-solved modulo p**K with minimal-valuation pivoting and
-# the result reduced mod p; the orthogonality residual check then certifies
-# the row exactly like any other.
+# some leading minors of the entry matrix are divisible by p although the
+# certificate values themselves are p-integral (the prime powers cancel
+# between minors).  Those rows are solved modulo p**PADIC_PRECISION with
+# minimal-valuation pivoting; the orthogonality residual check then
+# certifies them like any other row.
+
+#: p-adic digits carried by a lifted row.  Pivots of total valuation d cost
+#: up to d digits in elimination and d more in back substitution, and the
+#: row needs one reliable digit beyond a guard digit: 2d + 2 <= PADIC_PRECISION.
+PADIC_PRECISION = 16
 
 
-class _PrecisionLoss(Exception):
-    """Internal: mod p**K elimination ran out of p-adic precision."""
+class PrecisionExhausted(WorkbenchError):
+    """A row lifted mod p**PADIC_PRECISION needs more p-adic digits."""
 
 
-class _NotIntegral(Exception):
-    """Internal: the solution is not p-integral at the current row scale."""
-
-
-def _padic_entries(qpt: QPoint, n: int, precision: int) -> list[list[int]]:
+def _padic_entries(qpt: QPoint, n: int) -> list[list[int]]:
     """Entry matrix a(i, j), 1 <= i, j <= n, with exact values mod p**K."""
-    pk = qpt.modulus.p ** precision
+    pk = qpt.modulus.p**PADIC_PRECISION
     q = qpt.q_int % pk
-    a_max = 2 * n
-    qpow = [1] * (a_max + 1)
-    for e in range(1, a_max + 1):
-        qpow[e] = qpow[e - 1] * q % pk
-    tri = [[1]]
-    for a in range(1, a_max):
-        prev = tri[-1]
-        row = [1] * (a + 1)
-        for b in range(1, a):
-            row[b] = (prev[b - 1] + qpow[b] * prev[b]) % pk
-        tri.append(row)
-
-    def binq(a, b):
-        if b < 0 or b > a:
-            return 0
-        return tri[a][b]
-
+    qpow = [pow(q, e, pk) for e in range(2 * n)]
+    tri = [[1]]  # the q-Pascal triangle, tri[a][b] = qbinom(a, b)
+    for a in range(1, 2 * n):
+        prev = tri[-1] + [0]
+        tri.append([1] + [(prev[b - 1] + qpow[b] * prev[b]) % pk for b in range(1, a + 1)])
     out = []
     for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            v = qpow[i + j - 1] * (binq(i + j - 2, i - 1) + q * binq(i + j - 1, i)) % pk
-            if i == j:
-                v = (v + 1 + qpow[i]) % pk
-            if i == j + 1:
-                v = (v - 1) % pk
-            row.append(v)
+        row = [
+            qpow[i + j - 1] * (tri[i + j - 2][i - 1] + q * tri[i + j - 1][i]) % pk
+            for j in range(1, n + 1)
+        ]
+        row[i - 1] = (row[i - 1] + 1 + qpow[i]) % pk
+        if i > 1:
+            row[i - 2] = (row[i - 2] - 1) % pk
         out.append(row)
     return out
 
 
-def _solve_padic(a: list[list[int]], b: list[int], p: int, precision: int) -> list[int]:
-    """Solve a x = b over Z/p**K, tolerating pivots divisible by p.
-
-    Pivots are chosen with minimal p-valuation per column; the cumulative
-    pivot valuation is the precision lost, and the call fails with
-    _PrecisionLoss when too few p-adic digits would remain.  _NotIntegral
-    signals that the solution itself carries p in a denominator, in which
-    case the caller rescales the right side.
-    """
-    pk = p**precision
-    n = len(a)
-    m = [row[:] + [rhs % pk] for row, rhs in zip(a, b)]
-    loss = 0
-    pivot_val = []
-    for col in range(n):
-        best, best_v = None, None
-        for r in range(col, n):
-            e = m[r][col]
-            if e == 0:
-                continue
-            v = 0
-            while e % p == 0:
-                e //= p
-                v += 1
-            if best is None or v < best_v:
-                best, best_v = r, v
-                if v == 0:
-                    break
-        if best is None:
-            raise SingularMatrix(f"no usable pivot in column {col} mod p**{precision}")
-        loss += best_v
-        if 2 * loss + 2 > precision:
-            raise _PrecisionLoss
-        if best != col:
-            m[col], m[best] = m[best], m[col]
-        pivot_val.append(best_v)
-        pv = p**best_v
-        unit_inv = pow(m[col][col] // pv, -1, pk)
-        prow = m[col]
-        for r in range(col + 1, n):
-            e = m[r][col]
-            if e == 0:
-                continue
-            f = (e // pv) * unit_inv % pk
-            row = m[r]
-            for c in range(col, n + 1):
-                row[c] = (row[c] - f * prow[c]) % pk
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = m[i][n]
-        row = m[i]
-        for j in range(i + 1, n):
-            acc = (acc - row[j] * x[j]) % pk
-        pv = p ** pivot_val[i]
-        if acc % pv:
-            raise _NotIntegral
-        x[i] = (acc // pv) * pow(row[i] // pv, -1, pk) % pk
-    return x
+def _valuation(v: int, p: int) -> int:
+    """p-adic valuation of v mod p**PADIC_PRECISION (PADIC_PRECISION for 0)."""
+    k = 0
+    while k < PADIC_PRECISION and v % p == 0:
+        v //= p
+        k += 1
+    return k
 
 
-def _cofactor_row_padic(
-    qpt: QPoint, n: int, entry_cache: dict, n_hint: int | None = None
-) -> np.ndarray:
-    """Row n as p-cleared units: p**s times the exact rational row, mod p.
+def _padic_row(ents: list[list[int]], n: int, qpt: QPoint) -> np.ndarray:
+    """Row n as p**s times the exact rational row, mod p, from one elimination.
 
-    s is the smallest shift making the scaled row p-integral; s = 0 is the
-    ordinary case.  All identities used downstream (orthogonality residuals,
-    recurrence annihilation, the ansatz equations) are homogeneous within a
-    row, so the scaling is invisible to them; only the diagonal entry stops
-    being 1 when s > 0, which is reported by the normalization check as it
-    should be.
+    Eliminates a[:n-1, :n] mod p**K with minimal-valuation pivots; their
+    total valuation d is the valuation of the leading (n-1)-minor, so the
+    kernel vector y with y[n-1] = p**d is p-integral.  Back substitution
+    finds it, and dividing out its least valuation leaves p**s times the
+    rational row (s = 0 is the ordinary case, with y[n-1] reduced to 1).
+    All identities used downstream (orthogonality residuals, recurrence
+    annihilation, the ansatz equations) are homogeneous within a row, so
+    the scaling is invisible to them; only the diagonal entry stops being
+    1 when s > 0, which the normalization check reports as it should.
     """
     p = qpt.modulus.p
-    size = max(n, n_hint or 0)
-    for precision in (16, 32, 64):
-        if precision not in entry_cache or len(entry_cache[precision]) < n:
-            entry_cache[precision] = _padic_entries(qpt, size, precision)
-        ents = entry_cache[precision]
-        pk = p**precision
-        sub = [row[: n - 1] for row in ents[: n - 1]]
-        base = [-ents[i][n - 1] for i in range(n - 1)]
-        scale = 0
-        sol = None
-        while scale <= 8:
-            rhs = [v * p**scale % pk for v in base]
-            try:
-                sol = _solve_padic(sub, rhs, p, precision)
-                break
-            except _NotIntegral:
-                scale += 1
-            except _PrecisionLoss:
-                sol = None
-                break
-        if sol is None:
-            continue
-        x = np.empty(n, dtype=np.int64)
-        x[: n - 1] = [v % p for v in sol]
-        x[n - 1] = pow(p, scale, p) if scale else 1
-        if not x.any():
-            continue  # over-scaled: precision was insufficient, retry larger
-        if scale:
-            log.info(
-                "row n=%d at q=%d stored as p**%d times the rational row",
-                n,
-                qpt.q_int,
-                scale,
+    pk = p**PADIC_PRECISION
+    m = [row[:n] for row in ents[: n - 1]]
+    vals: list[int] = []
+    for col in range(n - 1):
+        v, best = min((_valuation(m[r][col], p), r) for r in range(col, n - 1))
+        vals.append(v)
+        if 2 * sum(vals) + 2 > PADIC_PRECISION:
+            raise PrecisionExhausted(
+                f"row n={n} at q={qpt.q_int}: the pivot valuation reaches d={sum(vals)}, "
+                f"but PADIC_PRECISION={PADIC_PRECISION} digits allow only 2d + 2 <= "
+                f"{PADIC_PRECISION}; raise cofactors.PADIC_PRECISION"
             )
-        return x
-    err = SingularMatrix(f"minor system at n={n} not solvable even mod p**64")
-    err.n = n
-    raise err
-
-
-def _cofactor_row_raw(
-    a: np.ndarray, n: int, qpt: QPoint, entry_cache: dict, n_hint: int | None = None
-) -> np.ndarray:
-    """Row n of the table from the leading (n-1) x (n-1) block of a."""
-    p = qpt.modulus.p
-    x = np.empty(n, dtype=np.int64)
-    x[n - 1] = 1
-    if n > 1:
-        try:
-            x[: n - 1] = solve_mod(a[: n - 1, : n - 1], (p - a[: n - 1, n - 1]) % p, p)
-        except SingularMatrix:
-            log.info(
-                "minor system singular mod p at n=%d, q=%d; lifting precision",
-                n,
-                qpt.q_int,
-            )
-            x = _cofactor_row_padic(qpt, n, entry_cache, n_hint)
-        residuals = matvec_mod(a[: n - 1, :n], x, p)
-        if residuals.any():
-            err = SingularMatrix(
-                f"row n={n} fails the orthogonality identity at q={qpt.q_int}"
-            )
-            err.n = n
-            raise err
-    return x
+        m[col], m[best] = m[best], m[col]
+        prow, pv = m[col], p**v
+        unit_inv = pow(prow[col] // pv, -1, pk)
+        for row in m[col + 1 :]:
+            f = row[col] // pv * unit_inv % pk
+            if f:
+                row[col:] = [(x - f * y) % pk for x, y in zip(row[col:], prow[col:])]
+    d = sum(vals)
+    y = [0] * (n - 1) + [p**d]
+    for i in reversed(range(n - 1)):
+        acc = -sum(x * z for x, z in zip(m[i][i + 1 :], y[i + 1 :])) % pk
+        pv = p ** vals[i]
+        y[i] = acc // pv * pow(m[i][i] // pv, -1, pk) % pk
+    low = min(_valuation(v, p) for v in y)
+    if low < d:
+        log.info("row n=%d at q=%d stored as p**%d times the rational row", n, qpt.q_int, d - low)
+    return np.array([v // p**low % p for v in y], dtype=np.int64)
 
 
 def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     """All cofactor rows up to n_max, with orthogonality residuals verified.
 
-    Raises SingularMatrix (carrying the offending n) when some minor system
-    is genuinely unsolvable at this q point; the whole q point is then
-    abandoned.  Minor systems that are singular only in the mod-p image
-    (small-order q) are lifted to higher p-adic precision transparently.
+    Rows whose leading minor is a unit mod p come from one GF(p) elimination
+    (leading_kernels_mod); each other row from one elimination mod
+    p**PADIC_PRECISION (_padic_row), which raises PrecisionExhausted when
+    those digits do not suffice.  A row that fails the orthogonality
+    identity raises SingularMatrix carrying the offending n; the whole q
+    point is then abandoned.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    p = qpt.modulus.p
     a = okada_slice(n_max, qpt)
-    entry_cache: dict = {}
-    rows = []
-    for n in range(1, n_max + 1):
-        rows.append(_cofactor_row_raw(a, n, qpt, entry_cache, n_hint=n_max))
-    return CofactorTable(n_max, qpt.q_int, qpt.modulus, rows)
+    rows = leading_kernels_mod(a, p)
+    ents = None
+    for n in range(2, n_max + 1):
+        if n not in rows:
+            log.info("minor system singular mod p at n=%d, q=%d; lifting precision", n, qpt.q_int)
+            ents = ents or _padic_entries(qpt, n_max)
+            rows[n] = _padic_row(ents, n, qpt)
+        if matvec_mod(a[: n - 1, :n], rows[n], p).any():
+            err = SingularMatrix(f"row n={n} fails the orthogonality identity at q={qpt.q_int}")
+            err.n = n
+            raise err
+    return CofactorTable(n_max, qpt.q_int, qpt.modulus, [rows[n] for n in range(1, n_max + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Exact arithmetic over a word-sized prime field GF(p).
 
-The modulus, dense linear algebra on int64 residue arrays (solve /
-nullspace / determinant by Gaussian elimination, each taking an explicit
-p), univariate polynomials with interpolation, and the two reconstruction
-algorithms that lift modular images back to symbolic objects: rational
-functions over GF(p) (Cauchy interpolation via the extended Euclidean
-algorithm, with no degree bounds: the candidate is the one before the
-quotient of maximal degree, returned as a numerator / monic denominator
-pair) and rational numbers from a single residue.  FieldElement is only
+The modulus, dense linear algebra on int64 residue arrays (the nested
+leading kernels of one matrix, nullspace and determinant, each one Gaussian
+elimination taking an explicit p), univariate polynomials with
+interpolation, and the two reconstruction algorithms that lift modular
+images back to symbolic objects: rational functions over GF(p) (Cauchy
+interpolation via the extended Euclidean algorithm, with no degree bounds:
+the candidate is the one before the quotient of maximal degree, returned
+as a numerator / monic denominator pair) and rational numbers from a
+single residue.  FieldElement is only
 the read-only result type of the public scalar functions; arithmetic runs
 on plain ints.
 
@@ -41,7 +42,7 @@ class ZeroInverse(WorkbenchError, ZeroDivisionError):
 
 
 class SingularMatrix(WorkbenchError):
-    """Elimination found no nonzero pivot for some column."""
+    """A linear system has no valid solution; .n names the offending row."""
 
 
 class DuplicateAbscissa(WorkbenchError):
@@ -179,30 +180,39 @@ def matvec_mod(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
     return np.mod((a * x[np.newaxis, :] % p).sum(axis=1), p)
 
 
-def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Solve a @ x = b over GF(p) for square a; raises SingularMatrix."""
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    m = np.concatenate([a % p, (b % p).reshape(n, 1)], axis=1)
-    for col in range(n):
-        nz = np.nonzero(m[col:, col])[0]
+def leading_kernels_mod(a: np.ndarray, p: int) -> dict[int, np.ndarray]:
+    """The nested kernel vectors of a over GF(p), from one elimination.
+
+    The kernel vector of n (1 <= n <= a.shape[1], n - 1 <= a.shape[0]) is
+    the x of length n with x[n-1] = 1 and a[:n-1, :n] @ x = 0; it is unique
+    when the leading (n-1) x (n-1) minor of a is a unit, and those n are the
+    keys returned.  [a.T | I] is eliminated once, pivoting column k on the
+    lowest-index unused row with a nonzero entry, so every row holds
+    (a @ x, x) for the column combination x it has become.  The pivots of
+    columns 0..n-2 are rows 0..n-2 exactly when the minor is a unit; row n-1
+    is then e[n-1] minus pivot rows with zeros in columns 0..n-2, and its
+    identity half is the kernel vector of n.
+    """
+    rows, cols = a.shape
+    m = np.concatenate([a.T % p, np.eye(cols, dtype=np.int64)], axis=1)
+    unused = np.ones(cols, dtype=bool)
+    out = {}
+    last = min(cols - 1, rows)
+    for k in range(last + 1):
+        if not unused[:k].any():
+            out[k + 1] = m[k, rows : rows + k + 1].copy()
+        if k == last:
+            break
+        nz = np.nonzero(unused & (m[:, k] != 0))[0]
         if nz.size == 0:
-            raise SingularMatrix(f"no pivot in column {col}")
-        r = col + int(nz[0])
-        if r != col:
-            m[[col, r]] = m[[r, col]]
-        inv = _inv_mod(int(m[col, col]), p)
-        m[col] = m[col] * inv % p
-        below = np.nonzero(m[col + 1:, col])[0] + col + 1
-        if below.size:
-            m[below] = (m[below] - np.outer(m[below, col], m[col])) % p
-    x = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        x[i] = (m[i, n] - (m[i, i + 1: n] * x[i + 1:] % p).sum()) % p
-    return x
+            break  # rows 0..k of a are dependent: no later minor is a unit
+        piv = nz[0]
+        unused[piv] = False
+        m[piv] = m[piv] * _inv_mod(int(m[piv, k]), p) % p
+        rest = nz[1:]
+        if rest.size:
+            m[rest] = (m[rest] - np.outer(m[rest, k], m[piv])) % p
+    return out
 
 
 def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -508,8 +518,8 @@ def reconstruct_rational_function(
     unused by the fit, deg q - 1 of them; those surplus samples are what
     make the fit believable.  Raises NoFit when no quotient reaches degree
     2 (no surplus sample) or when the largest degree is not unique.  A
-    candidate whose denominator vanishes at a sample raises PoleAtSample so
-    the caller can discard that sample.  Returns the coprime pair
+    candidate whose denominator vanishes at a sample raises PoleAtSample,
+    which names that sample.  Returns the coprime pair
     (numerator, monic denominator).
     """
     p = modulus.p
@@ -545,8 +555,8 @@ def reconstruct_rational_function(
     num, den = best
     g = num.gcd(den)
     if g.degree > 0:
-        # a common factor vanishing at a sample means the target function
-        # has a pole there: that sample must be discarded
+        # a common factor vanishing at a sample means the fitted function
+        # has a pole there
         for x in xs:
             if g(x) == 0:
                 raise PoleAtSample(x)

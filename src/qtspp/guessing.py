@@ -43,7 +43,7 @@ from .fieldcore import (
     reconstruct_rational_function,
     reconstruct_rational_number,
 )
-from .okada import QPoint
+from .okada import MIN_Q_ORDER, QPoint
 
 log = logging.getLogger(__name__)
 
@@ -374,9 +374,11 @@ def annihilation_residuals(
 
 def _sweep_one(args):
     q_int, p, n_max, support, pivot_term = args
-    modulus = PrimeModulus(p)
+    qpt = QPoint(q_int, PrimeModulus(p))
+    if qpt.order < MIN_Q_ORDER:
+        return q_int, None, 0, f"singular table: q has multiplicative order {qpt.order}"
     try:
-        table = build_table(n_max, QPoint(q_int, modulus))
+        table = build_table(n_max, qpt)
     except SingularMatrix as exc:
         return q_int, None, 0, f"singular table: {exc}"
     try:
@@ -408,9 +410,12 @@ def sweep(
     All surviving recurrences are normalized on the same pivot term (by
     default the support's first term), so across q points each coefficient
     is a sample of one rational function of q.  Points where the table is
-    singular, the nullspace dimension differs from 1, or the pivot
-    coefficient vanishes are logged and skipped.  Raises TooFewPoints when
-    a nonempty range yields fewer than min_points survivors.
+    singular (or q's multiplicative order is below MIN_Q_ORDER), the
+    nullspace dimension differs from 1, or the pivot coefficient vanishes
+    are logged and skipped.  A table that runs out of p-adic precision
+    (PrecisionExhausted) is a limit of this program, not of the q point, and
+    propagates.  Raises TooFewPoints when a nonempty range keeps fewer than
+    min_points.
     """
     if q_from < 2:
         raise ValueError("sweeps start at q >= 2")
@@ -475,7 +480,10 @@ def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrenc
     after it.  Those coefficients are lifted to rationals by rational number
     reconstruction, the scalar denominators are cleared, and the joint
     integer content is divided out.  The result is re-verified against
-    every sample before it is returned.
+    every sample before it is returned.  A fitted denominator that vanishes
+    at a sample raises ReconstructionFailed naming that q: the sweep skips
+    q points where the pivot coefficient vanishes, so a true pole never
+    reaches the samples and such a sample is corrupt.
     """
     if not recs:
         raise TooFewPoints("no modular recurrences to combine")
@@ -496,18 +504,18 @@ def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrenc
     fitted: list[tuple[PolyOverField, PolyOverField]] = []
     for k, term in enumerate(support.terms):
         points = [(x, int(v) * d % p) for x, v, d in zip(xs, samples_by_term[k], d_at)]
-        while True:
-            try:
-                num, den = reconstruct_rational_function(points, modulus)
-                break
-            except NoFit as exc:
-                raise ReconstructionFailed(
-                    f"term {term}: no rational function fits its {len(points)} "
-                    f"samples ({exc}); widen the sweep"
-                ) from exc
-            except PoleAtSample as exc:
-                log.warning("term %s: dropping sample at x=%d (pole)", term, exc.x)
-                points = [pt for pt in points if pt[0] != exc.x]
+        try:
+            num, den = reconstruct_rational_function(points, modulus)
+        except NoFit as exc:
+            raise ReconstructionFailed(
+                f"term {term}: no rational function fits its {len(points)} "
+                f"samples ({exc}); widen the sweep"
+            ) from exc
+        except PoleAtSample as exc:
+            raise ReconstructionFailed(
+                f"term {term}: corrupt sample at q={q_points[xs.index(exc.x)]}, where "
+                "the fitted denominator vanishes (the sweep never samples a true pole)"
+            ) from exc
         fitted.append((num, den))
         d_at = [d * den(x) % p for d, x in zip(d_at, xs)]
 

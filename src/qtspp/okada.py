@@ -28,6 +28,12 @@ class DegenerateDenominator(WorkbenchError):
     """A product-formula denominator factor 1 - q**m vanished mod p."""
 
 
+#: q points of multiplicative order below this are refused outright: the
+#: matrix entries collapse there (order 2 zeroes the (1,1) entry, order 3
+#: the (1,2) entry) and no useful table exists.
+MIN_Q_ORDER = 4
+
+
 class QPoint:
     """A numeric substitution q >= 1 together with its modular image.
 

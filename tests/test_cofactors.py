@@ -1,15 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
+from qtspp import cofactors
 from qtspp.cofactors import (
+    PrecisionExhausted,
     build_table,
     cofactor_by_minors,
     det_certified,
     det_direct,
     load_table,
 )
-from qtspp.fieldcore import PrimeModulus
+from qtspp.fieldcore import PrimeModulus, SingularMatrix
+from qtspp.guessing import AnsatzSupport, sweep
 from qtspp.okada import QPoint, okada_entry, qtspp_orbit_product
 from qtspp.verify import check_soichi
 
@@ -90,6 +94,64 @@ class TestBuildTable:
         assert t.value(3, 2) != 12345 or t2 is not t
         assert t2.value(3, 2) == 12345
         assert t.value(3, 2) == build_table(4, qp(3)).value(3, 2)
+
+
+class TestTableBytes:
+    """sha256 of to_text(), pinned from the per-row solver this code replaced."""
+
+    DIGESTS = {
+        (1, 120): "637943805d4a30a360ee6528a556b3c72acdd6e3c9a6fe376f6e00c0b2cfc177",
+        (2, 120): "5d725abaa8b63d846b159361cc9ba8fae6f6238b5d4792f552dccfbe44127b21",
+        (3, 120): "e647bd66772567a7c95ee9603dbb6e28d50130795a6411dbb22499f5f31cb4ec",
+        (151, 120): "ba3f015d9d63e5691f8fd013c9922f5d69ccaa56c9d7d42351bbcc91e43e4a3b",
+        (128, 60): "7d08d9b5657a8ea99dcfdf1be9bc0ef0064f0d30c2cf6b6fcd761cde87e73ba0",
+        (2, 35): "6868df68c77339a576bced85b2adb8d2bc1b6d2833d4b9df38c51146bb22cb92",
+    }
+
+    @pytest.mark.parametrize("q, n", sorted(DIGESTS))
+    def test_digest(self, q, n):
+        text = build_table(n, qp(q)).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[q, n]
+
+
+class TestTableGates:
+    def test_one_padic_elimination_per_lifted_row(self, monkeypatch):
+        calls = []
+        padic_row = cofactors._padic_row
+
+        def counted(ents, n, qpt):
+            calls.append(n)
+            return padic_row(ents, n, qpt)
+
+        monkeypatch.setattr(cofactors, "_padic_row", counted)
+        build_table(35, qp(2))
+        assert calls == list(range(13, 20))
+
+    def test_precision_exhaustion_names_the_row(self, monkeypatch):
+        monkeypatch.setattr(cofactors, "PADIC_PRECISION", 2)
+        with pytest.raises(PrecisionExhausted, match=r"n=13 at q=2\b.*PADIC_PRECISION=2\b"):
+            build_table(19, qp(2))
+        # ordinary q points never lift a row, so they are unaffected
+        assert build_table(19, qp(3)).n_max == 19
+
+    def test_sweep_propagates_precision_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(cofactors, "PADIC_PRECISION", 2)
+        support = AnsatzSupport(((0, 0, 0), (0, 0, 1)), (0, 0, 0))
+        with pytest.raises(PrecisionExhausted):
+            sweep(support, 2, 3, n_max=19, min_points=1)
+
+    def test_corrupt_kernel_row_fails_orthogonality(self, monkeypatch):
+        kernels = cofactors.leading_kernels_mod
+
+        def corrupted(a, p):
+            rows = kernels(a, p)
+            rows[5][0] = (rows[5][0] + 1) % p
+            return rows
+
+        monkeypatch.setattr(cofactors, "leading_kernels_mod", corrupted)
+        with pytest.raises(SingularMatrix) as info:
+            build_table(8, qp(3))
+        assert info.value.n == 5
 
 
 class TestDeterminantOracles:

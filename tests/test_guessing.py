@@ -318,7 +318,7 @@ class TestReconstructSymbolic:
         q_points = [q for q in range(2, 43) if q != 3]
         recs = synthetic_recs(sup, (0, 0, 0), funcs, q_points)
         recs[17].coefficients[1] = (recs[17].coefficients[1] + 1) % P.p
-        with pytest.raises(ReconstructionFailed):
+        with pytest.raises(ReconstructionFailed, match=r"term \(1, 0, 0\).*q=20\b"):
             reconstruct_symbolic(recs)
         rng = np.random.default_rng(3)
         for r in recs:
