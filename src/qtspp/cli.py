@@ -20,6 +20,8 @@ from .cofactors import CofactorTable, build_table, load_table
 from .fieldcore import DEFAULT_PRIME, PrimeModulus, WorkbenchError
 from .guessing import (
     AnsatzSupport,
+    ModularRecurrence,
+    SymbolicRecurrence,
     refine_support,
     guess_modular,
     load_recurrence,
@@ -155,14 +157,10 @@ def cmd_guess(config: PipelineConfig, q_int: int = 2, in_path: Path | None = Non
     return path
 
 
-def cmd_reconstruct(config: PipelineConfig, q_int: int = 2) -> Path:
-    """Discover, refine, sweep, and reconstruct the symbolic recurrence."""
-    table = _discovery_table(config, q_int, None)
-    rec = guess_modular(table, config.support())
-    if rec.nullspace_dim != 1:
-        raise WorkbenchError(
-            f"expected a one dimensional solution space, found {rec.nullspace_dim}"
-        )
+def _symbolic_recurrence(
+    config: PipelineConfig, rec: ModularRecurrence
+) -> tuple[SymbolicRecurrence, Path]:
+    """Stage 3: refine rec's support, sweep it, reconstruct, and save the result."""
     refined = refine_support(rec)
     log.info("refined support: %d of %d terms", len(refined), len(rec.support))
     recs = sweep(
@@ -175,13 +173,22 @@ def cmd_reconstruct(config: PipelineConfig, q_int: int = 2) -> Path:
         workers=config.workers,
     )
     sym = reconstruct_symbolic(recs)
-    out = config.ensure_out_dir()
-    path = out / "recurrence-symbolic.json"
-    save_recurrence(sym, path)
+    return sym, save_recurrence(sym, config.ensure_out_dir() / "recurrence-symbolic.json")
+
+
+def cmd_reconstruct(config: PipelineConfig, q_int: int = 2) -> Path:
+    """Discover, refine, sweep, and reconstruct the symbolic recurrence."""
+    table = _discovery_table(config, q_int, None)
+    rec = guess_modular(table, config.support())
+    if rec.nullspace_dim != 1:
+        raise WorkbenchError(
+            f"expected a one dimensional solution space, found {rec.nullspace_dim}"
+        )
+    sym, path = _symbolic_recurrence(config, rec)
     maxc = sym.max_abs_coefficient()
     print(
         f"wrote {path}: {len(sym.coefficients)} coefficient polynomials from "
-        f"{len(recs)} q points, max |coefficient| = {maxc}"
+        f"{len(sym.q_points_used)} q points, max |coefficient| = {maxc}"
     )
     if maxc > MAX_ABS_COEFFICIENT:
         raise WorkbenchError(
@@ -295,21 +302,10 @@ def cmd_pipeline(config: PipelineConfig, q1: bool = False) -> int:
 
     print("== stage 3: sweep and symbolic reconstruction ==")
     t0 = time.perf_counter()
-    refined = refine_support(rec)
-    recs = sweep(
-        refined,
-        config.q_from,
-        config.q_to,
-        p=config.prime,
-        n_max=config.n_max,
-        pivot_term=rec.pivot_term,
-        workers=config.workers,
-    )
-    sym = reconstruct_symbolic(recs)
-    save_recurrence(sym, out / "recurrence-symbolic.json")
+    sym, _ = _symbolic_recurrence(config, rec)
     maxc = sym.max_abs_coefficient()
     print(
-        f"{len(recs)} q points, max |integer coefficient| = {maxc} "
+        f"{len(sym.q_points_used)} q points, max |integer coefficient| = {maxc} "
         f"({time.perf_counter() - t0:.2f}s)"
     )
     if maxc > MAX_ABS_COEFFICIENT:

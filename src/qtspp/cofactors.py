@@ -33,7 +33,7 @@ from .fieldcore import (
     leading_kernels_mod,
     matvec_mod,
 )
-from .okada import QPoint, okada_slice
+from .okada import QPoint, entry_matrix, okada_slice
 
 log = logging.getLogger(__name__)
 
@@ -150,14 +150,16 @@ class CofactorTable:
 def _table_from_triples(q_int: int, p: int, n_max: int, triples) -> CofactorTable:
     modulus = PrimeModulus(p)
     rows = [np.zeros(n, dtype=np.int64) for n in range(1, n_max + 1)]
-    seen = 0
+    seen = set()
     for n, j, v in triples:
         if not (1 <= j <= n <= n_max):
             raise ValueError(f"triple ({n}, {j}) outside the triangular domain")
+        if (n, j) in seen:
+            raise ValueError(f"position ({n}, {j}) appears twice")
+        seen.add((n, j))
         rows[n - 1][j - 1] = v % p
-        seen += 1
-    if seen != n_max * (n_max + 1) // 2:
-        raise ValueError(f"expected {n_max * (n_max + 1) // 2} triples, got {seen}")
+    if len(seen) != n_max * (n_max + 1) // 2:
+        raise ValueError(f"expected {n_max * (n_max + 1) // 2} triples, got {len(seen)}")
     return CofactorTable(n_max, q_int, modulus, rows)
 
 
@@ -193,28 +195,6 @@ PADIC_PRECISION = 16
 
 class PrecisionExhausted(WorkbenchError):
     """A row lifted mod p**PADIC_PRECISION needs more p-adic digits."""
-
-
-def _padic_entries(qpt: QPoint, n: int) -> list[list[int]]:
-    """Entry matrix a(i, j), 1 <= i, j <= n, with exact values mod p**K."""
-    pk = qpt.modulus.p**PADIC_PRECISION
-    q = qpt.q_int % pk
-    qpow = [pow(q, e, pk) for e in range(2 * n)]
-    tri = [[1]]  # the q-Pascal triangle, tri[a][b] = qbinom(a, b)
-    for a in range(1, 2 * n):
-        prev = tri[-1] + [0]
-        tri.append([1] + [(prev[b - 1] + qpow[b] * prev[b]) % pk for b in range(1, a + 1)])
-    out = []
-    for i in range(1, n + 1):
-        row = [
-            qpow[i + j - 1] * (tri[i + j - 2][i - 1] + q * tri[i + j - 1][i]) % pk
-            for j in range(1, n + 1)
-        ]
-        row[i - 1] = (row[i - 1] + 1 + qpow[i]) % pk
-        if i > 1:
-            row[i - 2] = (row[i - 2] - 1) % pk
-        out.append(row)
-    return out
 
 
 def _valuation(v: int, p: int) -> int:
@@ -290,7 +270,7 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     for n in range(2, n_max + 1):
         if n not in rows:
             log.info("minor system singular mod p at n=%d, q=%d; lifting precision", n, qpt.q_int)
-            ents = ents or _padic_entries(qpt, n_max)
+            ents = ents or entry_matrix(n_max, qpt.q_int, p**PADIC_PRECISION).tolist()
             rows[n] = _padic_row(ents, n, qpt)
         if matvec_mod(a[: n - 1, :n], rows[n], p).any():
             err = SingularMatrix(f"row n={n} fails the orthogonality identity at q={qpt.q_int}")

@@ -7,12 +7,8 @@ one equation per table position, extract the modular nullspace, refine the
 support by dropping zero coefficients, repeat the computation across a range
 of q points, and reconstruct the coefficients as integer polynomials in q
 via rational function reconstruction over one shared denominator, then
-rational number reconstruction.
-
-Terms may optionally carry a shift in n as well ((alpha, beta, shift_n,
-shift_j) quadruples), so recurrences that step in n can be sought with the
-same machinery; table values beyond the triangular domain in j read as zero
-(zero extension), while shifts in n restrict the usable equation rows.
+rational number reconstruction.  Table values beyond the triangular domain
+in j read as zero (zero extension).
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ import numpy as np
 
 from .cofactors import CofactorTable, build_table
 from .fieldcore import (
-    FieldElement,
     IntegerPoly,
     NoFit,
     PoleAtSample,
@@ -64,80 +59,47 @@ class ReconstructionFailed(WorkbenchError):
     """Symbolic reconstruction could not be completed; widen the sweep."""
 
 
-Term = tuple[int, ...]
-
-
-def _term_key(term: Term):
-    if len(term) == 3:
-        alpha, beta, gamma = term
-        return (gamma, beta, alpha)
-    alpha, beta, shift_n, shift_j = term
-    return (shift_n, shift_j, beta, alpha)
-
-
-def _term_shifts(term: Term) -> tuple[int, int]:
-    """(shift in n, shift in j) of a term."""
-    if len(term) == 3:
-        return 0, term[2]
-    return term[2], term[3]
+#: (alpha, beta, gamma): the ansatz term q**(alpha*n) * q**(beta*j) * B(n, j + gamma).
+Term = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class AnsatzSupport:
-    """An ordered set of ansatz terms plus the generating bounds."""
+    """Ansatz terms sorted by (gamma, beta, alpha), plus the generating bounds."""
 
     terms: tuple[Term, ...]
     bounds: tuple[int, ...] = (4, 7, 10)
 
     def __post_init__(self):
-        terms = tuple(sorted({tuple(int(x) for x in t) for t in self.terms}, key=_term_key))
-        arities = {len(t) for t in terms}
+        terms = {tuple(int(x) for x in t) for t in self.terms}
+        terms = tuple(sorted(terms, key=lambda t: t[::-1]))
         if not terms:
             raise ValueError("support must contain at least one term")
-        if len(arities) != 1 or arities.pop() not in (3, 4):
-            raise ValueError("terms must be uniform (alpha, beta, gamma[, shift]) tuples")
         for t in terms:
+            if len(t) != 3:
+                raise ValueError(f"term {t} is not an (alpha, beta, gamma) triple")
             if any(x < 0 for x in t):
                 raise ValueError(f"negative exponent in term {t}")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "bounds", tuple(int(b) for b in self.bounds))
 
     @classmethod
-    def full(
-        cls,
-        alpha_max: int = 4,
-        beta_max: int = 7,
-        gamma_max: int = 10,
-        shift_n_max: int | None = None,
-    ) -> "AnsatzSupport":
+    def full(cls, alpha_max: int = 4, beta_max: int = 7, gamma_max: int = 10) -> "AnsatzSupport":
         """The complete grid of terms up to the given exponent bounds."""
-        if shift_n_max is None:
-            terms = [
-                (a, b, g)
-                for g in range(gamma_max + 1)
-                for b in range(beta_max + 1)
-                for a in range(alpha_max + 1)
-            ]
-            return cls(tuple(terms), (alpha_max, beta_max, gamma_max))
-        terms4 = [
-            (a, b, gn, gj)
-            for gn in range(shift_n_max + 1)
-            for gj in range(gamma_max + 1)
+        terms = [
+            (a, b, g)
+            for g in range(gamma_max + 1)
             for b in range(beta_max + 1)
             for a in range(alpha_max + 1)
         ]
-        return cls(tuple(terms4), (alpha_max, beta_max, gamma_max, shift_n_max))
+        return cls(tuple(terms), (alpha_max, beta_max, gamma_max))
 
     def subset(self, terms: Sequence[Term]) -> "AnsatzSupport":
         return AnsatzSupport(tuple(terms), self.bounds)
 
     @property
     def max_shift_j(self) -> int:
-        return max(_term_shifts(t)[1] for t in self.terms)
-
-    @property
-    def max_shift_n(self) -> int:
-        return max(_term_shifts(t)[0] for t in self.terms)
+        return max(t[2] for t in self.terms)
 
     def __len__(self):
         return len(self.terms)
@@ -186,6 +148,19 @@ class SymbolicRecurrence:
     prime: int
     q_points_used: list[int] = field(default_factory=list)
 
+    def __post_init__(self):
+        if len(self.coefficients) != len(self.support):
+            raise WorkbenchError(
+                f"recurrence has {len(self.coefficients)} coefficient polynomials "
+                f"for {len(self.support)} support terms"
+            )
+        if self.pivot_term not in self.support.terms:
+            raise WorkbenchError(f"pivot term {self.pivot_term} is not in the support")
+        if self.coefficients[self.support.terms.index(self.pivot_term)].is_zero():
+            raise WorkbenchError(
+                f"pivot term {self.pivot_term} has a zero coefficient polynomial"
+            )
+
     def max_abs_coefficient(self) -> int:
         return max(c.max_abs_coefficient() for c in self.coefficients)
 
@@ -204,16 +179,6 @@ class SymbolicRecurrence:
 # ---------------------------------------------------------------------------
 
 
-def _equation_rows(table: CofactorTable, support: AnsatzSupport) -> tuple[np.ndarray, np.ndarray]:
-    max_n = table.n_max - support.max_shift_n
-    ns, js = [], []
-    for n in range(1, max_n + 1):
-        for j in range(1, n + 1):
-            ns.append(n)
-            js.append(j)
-    return np.array(ns, dtype=np.int64), np.array(js, dtype=np.int64)
-
-
 def build_equations(table: CofactorTable, support: AnsatzSupport) -> np.ndarray:
     """One equation per table position (n, j); one column per ansatz term.
 
@@ -228,20 +193,12 @@ def build_equations(table: CofactorTable, support: AnsatzSupport) -> np.ndarray:
         )
     p = table.modulus.p
     qpt = table.qpoint()
-    ns, js = _equation_rows(table, support)
-    if ns.size == 0:
-        raise InsufficientData("no equation rows available for this support")
+    ns, js = (idx + 1 for idx in np.tril_indices(table.n_max))
     b = table.padded(extra_cols=support.max_shift_j)
-    alphas = np.array([t[0] for t in support.terms])
-    betas = np.array([t[1] for t in support.terms])
-    max_exp = int((alphas * table.n_max + betas * table.n_max).max())
-    pw = qpt.qpow(max_exp)
+    pw = qpt.qpow(max((alpha + beta) * table.n_max for alpha, beta, _ in support.terms))
     cols = np.empty((ns.size, len(support)), dtype=np.int64)
-    for k, term in enumerate(support.terms):
-        alpha, beta = term[0], term[1]
-        shift_n, shift_j = _term_shifts(term)
-        exps = alpha * ns + beta * js
-        cols[:, k] = pw[exps] * b[ns + shift_n, js + shift_j] % p
+    for k, (alpha, beta, gamma) in enumerate(support.terms):
+        cols[:, k] = pw[alpha * ns + beta * js] * b[ns, js + gamma] % p
     return cols
 
 
@@ -302,62 +259,29 @@ def _specialized_coefficients(
     return rec.specialize(table.q_int, p)
 
 
-def apply_recurrence(
-    rec: ModularRecurrence | SymbolicRecurrence, table: CofactorTable, n: int, j: int
-) -> FieldElement:
-    """Evaluate the recurrence's left side at one table position.
-
-    Zero means the recurrence annihilates the table there.  A symbolic
-    recurrence is specialized at the table's q point first.
-    """
-    p = table.modulus.p
-    qpt = table.qpoint()
-    coeffs = _specialized_coefficients(rec, table)
-    acc = 0
-    for c, term in zip(coeffs, rec.support.terms):
-        c = int(c)
-        if c == 0:
-            continue
-        alpha, beta = term[0], term[1]
-        shift_n, shift_j = _term_shifts(term)
-        exp = alpha * n + beta * j
-        val = table.value(n + shift_n, j + shift_j)
-        if val == 0:
-            continue
-        acc = (acc + c * int(qpt.qpow(exp)[exp]) % p * val) % p
-    return FieldElement(acc, table.modulus)
-
-
 def annihilation_residuals(
     rec: ModularRecurrence | SymbolicRecurrence, table: CofactorTable
 ) -> np.ndarray:
     """Residual grid R[n, j] over the whole triangle, vectorized.
 
-    R[n, j] for 1 <= j <= n <= n_max - max_shift_n; entries outside the
-    triangle are zero.
+    R[n, j] for 1 <= j <= n <= n_max; entries outside the triangle are zero.
+    A symbolic recurrence is specialized at the table's q point first.
     """
     p = table.modulus.p
     qpt = table.qpoint()
     coeffs = _specialized_coefficients(rec, table)
-    shift_j_max = rec.support.max_shift_j
-    shift_n_max = rec.support.max_shift_n
-    nmax = table.n_max - shift_n_max
-    b = table.padded(extra_cols=shift_j_max)
+    nmax = table.n_max
+    b = table.padded(extra_cols=rec.support.max_shift_j)
     n_idx = np.arange(nmax + 1, dtype=np.int64)
-    max_exp = 0
-    for term in rec.support.terms:
-        max_exp = max(max_exp, term[0] * nmax + term[1] * nmax)
-    pw = qpt.qpow(max_exp)
+    pw = qpt.qpow(max((alpha + beta) * nmax for alpha, beta, _ in rec.support.terms))
     acc = np.zeros((nmax + 1, nmax + 1), dtype=np.int64)
-    for c, term in zip(coeffs, rec.support.terms):
+    for c, (alpha, beta, gamma) in zip(coeffs, rec.support.terms):
         c = int(c)
         if c == 0:
             continue
-        alpha, beta = term[0], term[1]
-        shift_n, shift_j = _term_shifts(term)
         qa = pw[alpha * n_idx] * c % p
         qb = pw[beta * n_idx]
-        block = b[shift_n : shift_n + nmax + 1, shift_j : shift_j + nmax + 1]
+        block = b[:, gamma : gamma + nmax + 1]
         acc = (acc + qa[:, None] * qb[None, :] % p * block) % p
     # zero out everything outside 1 <= j <= n
     mask = np.tril(np.ones((nmax + 1, nmax + 1), dtype=bool))

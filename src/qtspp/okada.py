@@ -2,16 +2,20 @@
 
 Everything here is evaluated at a numeric q point, reduced modulo a prime:
 Gaussian binomials, the determinant's matrix entries a(i, j) (one at a
-time, or the whole n x n matrix as an int64 residue array), the orbit
-counting product of totally symmetric plane partitions, and the squared
-per-layer ratio that the certified determinant telescopes to.
+time, or the whole n x n matrix), the orbit counting product of totally
+symmetric plane partitions, and the squared per-layer ratio that the
+certified determinant telescopes to.
 
-Gaussian binomials are computed through the q-Pascal recurrence, which
-evaluates the underlying polynomial and is therefore well defined for every
-q point, even one of small multiplicative order (2 has order 31 modulo
-2**31 - 1).  The two product formulas genuinely divide by factors 1 - q**m
-and raise DegenerateDenominator on q points whose order makes a denominator
-factor vanish; callers pick q points of large order for those checks.
+The entry formula lives in one place, entry_matrix, which reduces modulo
+any m: an int64 residue array for a word-sized prime (okada_slice), or
+Python ints modulo a prime power (the p-adic rows of the certificate
+table).  Gaussian binomials are computed through the q-Pascal recurrence,
+which evaluates the underlying polynomial and is therefore well defined for
+every q point, even one of small multiplicative order (2 has order 31
+modulo 2**31 - 1).  The two product formulas genuinely divide by factors
+1 - q**m and raise DegenerateDenominator on q points whose order makes a
+denominator factor vanish; callers pick q points of large order for those
+checks.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fieldcore import FieldElement, PrimeModulus, WorkbenchError, _inv_mod
+from .fieldcore import MAX_MODULUS, FieldElement, PrimeModulus, WorkbenchError, _inv_mod
 
 
 class DegenerateDenominator(WorkbenchError):
@@ -34,16 +38,37 @@ class DegenerateDenominator(WorkbenchError):
 MIN_Q_ORDER = 4
 
 
+def _powers(q: int, m: int, count: int) -> np.ndarray:
+    """q**e mod m for e = 0..count-1: int64 when m <= MAX_MODULUS, else Python ints."""
+    out = np.empty(count, dtype=np.int64 if m <= MAX_MODULUS else object)
+    acc = 1
+    for e in range(count):
+        out[e] = acc
+        acc = acc * q % m
+    return out
+
+
+def _qpascal(pw: np.ndarray, m: int) -> np.ndarray:
+    """Gaussian binomials tri[a, b] = [a choose b]_q mod m for a, b < len(pw).
+
+    pw holds the powers q**e mod m (_powers).  Row by row through the q-Pascal
+    recurrence [a choose b] = [a-1 choose b-1] + q**b [a-1 choose b]; at
+    q = 1 this is Pascal's triangle.
+    """
+    tri = np.zeros((len(pw), len(pw)), dtype=pw.dtype)
+    for a in range(len(pw)):
+        tri[a, 0] = 1
+        tri[a, 1 : a + 1] = (tri[a - 1, :a] + pw[1 : a + 1] * tri[a - 1, 1 : a + 1]) % m
+    return tri
+
+
 class QPoint:
     """A numeric substitution q >= 1 together with its modular image.
 
-    Caches powers of q and the q-Pascal triangle of Gaussian binomials; both
-    grow on demand and are only ever appended to, so sharing a QPoint across
-    threads of one process is safe in practice (each worker process of a
-    sweep builds its own anyway).
+    Holds no powers or binomials: those are computed per call.
     """
 
-    __slots__ = ("q_int", "modulus", "reduced", "is_unit", "_order", "_qpow", "_tri")
+    __slots__ = ("q_int", "modulus", "reduced", "is_unit", "_order")
 
     def __init__(self, q_int: int, modulus: PrimeModulus | None = None):
         if q_int < 1:
@@ -55,8 +80,6 @@ class QPoint:
             raise ValueError(f"q={q_int} reduces to 0 mod {self.modulus.p}")
         self.is_unit = q_int == 1
         self._order: int | None = None
-        self._qpow = np.array([1, self.reduced], dtype=np.int64)
-        self._tri: np.ndarray | None = None
 
     @property
     def order(self) -> int:
@@ -66,47 +89,8 @@ class QPoint:
         return self._order
 
     def qpow(self, max_exp: int) -> np.ndarray:
-        """Array of q**e mod p for e = 0..max_exp (cached, do not mutate)."""
-        if max_exp >= len(self._qpow):
-            p = self.modulus.p
-            old = self._qpow
-            new_len = max(max_exp + 1, 2 * len(old))
-            out = np.empty(new_len, dtype=np.int64)
-            out[: len(old)] = old
-            acc = int(old[-1])
-            for e in range(len(old), new_len):
-                acc = acc * self.reduced % p
-                out[e] = acc
-            self._qpow = out
-        return self._qpow[: max_exp + 1]
-
-    def _triangle(self, a_max: int) -> np.ndarray:
-        """Lower-triangular table of Gaussian binomials, rows 0..a_max.
-
-        Row a holds qbinom(a, b) for b = 0..a via the q-Pascal recurrence
-        qbinom(a, b) = qbinom(a-1, b-1) + q**b * qbinom(a-1, b).
-        """
-        if self._tri is None or self._tri.shape[0] <= a_max:
-            p = self.modulus.p
-            size = max(a_max + 1, 8)
-            if self._tri is not None:
-                size = max(size, 2 * self._tri.shape[0])
-            tri = np.zeros((size, size), dtype=np.int64)
-            start = 1
-            if self._tri is not None:
-                done = self._tri.shape[0]
-                tri[:done, :done] = self._tri
-                start = done
-            else:
-                tri[0, 0] = 1
-            qb = self.qpow(size)
-            for a in range(start, size):
-                tri[a, 0] = 1
-                tri[a, a] = 1
-                if a >= 2:
-                    tri[a, 1:a] = (tri[a - 1, 0 : a - 1] + qb[1:a] * tri[a - 1, 1:a]) % p
-            self._tri = tri
-        return self._tri
+        """int64 array of q**e mod p for e = 0..max_exp."""
+        return _powers(self.reduced, self.modulus.p, max_exp + 1)
 
     def __repr__(self):
         return f"QPoint(q={self.q_int} mod {self.modulus.p})"
@@ -121,13 +105,10 @@ def qbinom(a: int, b: int, qpt: QPoint) -> FieldElement:
     """
     if a < 0:
         raise ValueError("upper index must be nonnegative")
-    mod = qpt.modulus
     if b < 0 or b > a:
-        return FieldElement(0, mod)
-    if qpt.is_unit:
-        return FieldElement(math.comb(a, b) % mod.p, mod)
-    tri = qpt._triangle(a)
-    return FieldElement(int(tri[a, b]), mod)
+        return FieldElement(0, qpt.modulus)
+    p = qpt.modulus.p
+    return FieldElement(int(_qpascal(_powers(qpt.reduced, p, a + 1), p)[a, b]), qpt.modulus)
 
 
 def okada_entry(i: int, j: int, qpt: QPoint) -> FieldElement:
@@ -137,9 +118,9 @@ def okada_entry(i: int, j: int, qpt: QPoint) -> FieldElement:
     p = qpt.modulus.p
     q = qpt.reduced
     v = (int(qbinom(i + j - 2, i - 1, qpt)) + q * int(qbinom(i + j - 1, i, qpt))) % p
-    v = v * int(qpt.qpow(i + j - 1)[i + j - 1]) % p
+    v = v * pow(q, i + j - 1, p) % p
     if i == j:
-        v = (v + 1 + int(qpt.qpow(i)[i])) % p
+        v = (v + 1 + pow(q, i, p)) % p
     if i == j + 1:
         v = (v - 1) % p
     return FieldElement(v, qpt.modulus)
@@ -157,27 +138,33 @@ def okada_entry_q1(i: int, j: int) -> int:
     return v
 
 
-def okada_slice(n: int, qpt: QPoint) -> np.ndarray:
-    """The n x n entry matrix, a[i-1, j-1] = a(i, j) mod p, one pass per row."""
+def entry_matrix(n: int, q: int, m: int) -> np.ndarray:
+    """The n x n entry matrix mod m, a[i-1, j-1] = a(i, j), one pass per row.
+
+    int64 residues when m <= MAX_MODULUS, Python ints (object dtype) above,
+    from the same code: q**(i+j-1) * ([i+j-2 choose i-1] + q [i+j-1 choose i]),
+    plus 1 + q**i on the diagonal and -1 below it.
+    """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    p = qpt.modulus.p
-    q = qpt.reduced
-    a = np.zeros((n, n), dtype=np.int64)
-    if n > 0:
-        tri = qpt._triangle(2 * n - 1)
-        pw = qpt.qpow(2 * n)
-        for i in range(1, n + 1):
-            # qbinom(i+j-2, i-1) and qbinom(i+j-1, i) for j = 1..n
-            b1 = tri[i - 1 : i + n - 1, i - 1]
-            b2 = tri[i : i + n, i]
-            row = pw[i : i + n] * ((b1 + q * b2) % p) % p
-            a[i - 1] = row
-        idx = np.arange(n)
-        a[idx, idx] = (a[idx, idx] + 1 + pw[1 : n + 1]) % p
-        if n > 1:
-            a[idx[1:], idx[:-1]] = (a[idx[1:], idx[:-1]] - 1) % p
+    q %= m
+    pw = _powers(q, m, 2 * n)
+    tri = _qpascal(pw, m)
+    a = np.zeros((n, n), dtype=pw.dtype)
+    for i in range(1, n + 1):
+        # [i+j-2 choose i-1] and [i+j-1 choose i] for j = 1..n
+        b1 = tri[i - 1 : i + n - 1, i - 1]
+        b2 = tri[i : i + n, i]
+        a[i - 1] = pw[i : i + n] * ((b1 + q * b2) % m) % m
+    idx = np.arange(n)
+    a[idx, idx] = (a[idx, idx] + 1 + pw[1 : n + 1]) % m
+    a[idx[1:], idx[:-1]] = (a[idx[1:], idx[:-1]] - 1) % m
     return a
+
+
+def okada_slice(n: int, qpt: QPoint) -> np.ndarray:
+    """The n x n entry matrix as an int64 residue array mod p."""
+    return entry_matrix(n, qpt.reduced, qpt.modulus.p)
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +195,24 @@ def _orbit_factor_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _product_of_factors(
     num_counts: np.ndarray, den_counts: np.ndarray, qpt: QPoint
 ) -> FieldElement:
-    """prod (1-q**m)**num[m] / prod (1-q**m)**den[m] at a q >= 2 point."""
+    """prod f(m)**num[m] / prod f(m)**den[m] over equal-length count arrays.
+
+    The factor is f(m) = 1 - q**m, or the integer m at q = 1.
+    """
     p = qpt.modulus.p
-    top = max(len(num_counts), len(den_counts)) - 1
-    pw = qpt.qpow(top)
-    order = qpt.order
     numerator = 1
     denominator = 1
-    for m in range(1, top + 1):
-        nc = int(num_counts[m]) if m < len(num_counts) else 0
-        dc = int(den_counts[m]) if m < len(den_counts) else 0
+    qm = 1
+    for m in range(1, len(num_counts)):
+        qm = qm * qpt.reduced % p
+        nc, dc = int(num_counts[m]), int(den_counts[m])
         if nc == 0 and dc == 0:
             continue
-        base = (1 - int(pw[m])) % p
+        base = m % p if qpt.is_unit else (1 - qm) % p
         if base == 0:
             if dc > 0:
                 raise DegenerateDenominator(
-                    f"1 - q**{m} = 0 mod p at q={qpt.q_int} (order {order})"
+                    f"1 - q**{m} = 0 mod p at q={qpt.q_int} (order {qpt.order})"
                 )
             return FieldElement(0, qpt.modulus)
         if nc:
@@ -232,22 +220,6 @@ def _product_of_factors(
         if dc:
             denominator = denominator * pow(base, dc, p) % p
     return FieldElement(numerator * _inv_mod(denominator, p) % p, qpt.modulus)
-
-
-def _product_of_integer_factors(
-    num_counts: np.ndarray, den_counts: np.ndarray, p: int
-) -> int:
-    top = max(len(num_counts), len(den_counts)) - 1
-    numerator = 1
-    denominator = 1
-    for m in range(1, top + 1):
-        nc = int(num_counts[m]) if m < len(num_counts) else 0
-        dc = int(den_counts[m]) if m < len(den_counts) else 0
-        if nc:
-            numerator = numerator * pow(m, nc, p) % p
-        if dc:
-            denominator = denominator * pow(m, dc, p) % p
-    return numerator * _inv_mod(denominator, p) % p
 
 
 def qtspp_orbit_product(n: int, qpt: QPoint) -> FieldElement:
@@ -259,15 +231,7 @@ def qtspp_orbit_product(n: int, qpt: QPoint) -> FieldElement:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return FieldElement(1, qpt.modulus)
-    num_counts, den_counts = _orbit_factor_counts(n)
-    if qpt.is_unit:
-        return FieldElement(
-            _product_of_integer_factors(num_counts, den_counts, qpt.modulus.p),
-            qpt.modulus,
-        )
-    return _product_of_factors(num_counts, den_counts, qpt)
+    return _product_of_factors(*_orbit_factor_counts(n), qpt)
 
 
 def qtspp_count_exact(n: int) -> int:
@@ -303,13 +267,7 @@ def nice_ratio(n: int, qpt: QPoint) -> FieldElement:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    num_counts, den_counts = _nice_ratio_counts(n)
-    if qpt.is_unit:
-        return FieldElement(
-            _product_of_integer_factors(num_counts, den_counts, qpt.modulus.p),
-            qpt.modulus,
-        )
-    return _product_of_factors(num_counts, den_counts, qpt)
+    return _product_of_factors(*_nice_ratio_counts(n), qpt)
 
 
 def nice_ratio_q1_exact(n: int) -> Fraction:

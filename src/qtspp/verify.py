@@ -31,7 +31,6 @@ from .fieldcore import IntegerPoly, PrimeModulus, WorkbenchError, matvec_mod
 from .guessing import (
     ModularRecurrence,
     SymbolicRecurrence,
-    _term_shifts,
     annihilation_residuals,
 )
 from .okada import (
@@ -430,7 +429,7 @@ def check_leading_factor_vanishing(
     gmax = symrec.support.max_shift_j
     tops = []
     for term, poly in zip(symrec.support.terms, symrec.coefficients):
-        if _term_shifts(term)[1] == gmax:
+        if term[2] == gmax:
             tops.append((term[0], term[1], poly))
     if not tops:
         raise ValueError("no terms carry the top shift")

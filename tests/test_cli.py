@@ -184,6 +184,31 @@ class TestVerifyCommand:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "craft, message",
+        [
+            (lambda cs: [], "0 coefficient polynomials for 330 support terms"),
+            (lambda cs: cs[:1], "1 coefficient polynomials for 330 support terms"),
+            (lambda cs: [[] for _ in cs], "zero coefficient polynomial"),
+        ],
+        ids=["empty", "truncated", "all-zero"],
+    )
+    def test_extended_refuses_malformed_recurrence(
+        self, tmp_path, capsys, symbolic_rec, craft, message
+    ):
+        doc = json.loads(save_recurrence(symbolic_rec, tmp_path / "s.json").read_text())
+        doc["coefficients"] = craft(doc["coefficients"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main([
+            "verify", "extended", "--q", "3", "--n-ext", "40",
+            "--in", str(bad), "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "report-extended-q3.json").exists()
+
 
 class TestPipelineQ1:
     def test_q1_pipeline(self, tmp_path, capsys):

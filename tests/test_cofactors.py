@@ -1,5 +1,6 @@
 import hashlib
 import random
+import struct
 
 import pytest
 
@@ -235,6 +236,21 @@ class TestPersistence:
         assert [(n, j) for n, j, _ in triples] == [
             (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
         ]
+
+    def test_rejects_duplicate_position_text(self, tmp_path):
+        bad = tmp_path / "dup.txt"
+        bad.write_text(f"3 {P.p} 2\n1 1 1\n2 1 5\n2 1 7\n")
+        with pytest.raises(ValueError, match=r"\(2, 1\) appears twice"):
+            load_table(bad)
+
+    def test_rejects_duplicate_position_binary(self, tmp_path):
+        triples = [(1, 1, 1), (2, 1, 5), (2, 1, 7)]
+        data = b"QTB1" + struct.pack("<QQQ", 3, P.p, 2)
+        data += b"".join(struct.pack("<IIQ", *t) for t in triples)
+        bad = tmp_path / "dup.bin"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=r"\(2, 1\) appears twice"):
+            load_table(bad)
 
     def test_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -16,7 +16,6 @@ from qtspp.guessing import (
     SymbolicRecurrence,
     TooFewPoints,
     annihilation_residuals,
-    apply_recurrence,
     build_equations,
     guess_modular,
     load_recurrence,
@@ -69,11 +68,6 @@ class TestAnsatzSupport:
         sup = AnsatzSupport.full()
         sub = sup.subset([(0, 0, 0), (1, 2, 3)])
         assert sub.bounds == sup.bounds and len(sub) == 2
-
-    def test_shifted_mode(self):
-        sup = AnsatzSupport.full(1, 0, 1, shift_n_max=1)
-        assert all(len(t) == 4 for t in sup.terms)
-        assert sup.max_shift_n == 1 and sup.max_shift_j == 1
 
 
 class TestBuildEquations:
@@ -158,10 +152,6 @@ class TestRefineSupport:
 
 
 class TestApplyRecurrence:
-    def test_annihilates_discovering_table(self, table_q2, modular_rec):
-        for n, j in [(1, 1), (7, 3), (20, 20), (35, 1), (35, 35), (25, 13)]:
-            assert apply_recurrence(modular_rec, table_q2, n, j).value == 0
-
     def test_grid_all_zero(self, table_q2, modular_rec):
         grid = annihilation_residuals(modular_rec, table_q2)
         assert not grid.any()
@@ -176,7 +166,7 @@ class TestApplyRecurrence:
     def test_q_point_mismatch(self, table_q2, modular_rec):
         other = build_table(35, qp(3))
         with pytest.raises(ValueError):
-            apply_recurrence(modular_rec, other, 5, 5)
+            annihilation_residuals(modular_rec, other)
 
 
 class TestSweep:
@@ -224,31 +214,6 @@ class TestSweep:
 
     def test_full_sweep_survives_everywhere(self, sweep_recs):
         assert [r.q_int for r in sweep_recs] == list(range(2, 151))
-
-
-class TestShiftedMode:
-    def test_equation_rows_respect_n_shift(self):
-        t = build_table(12, qp(5))
-        sup = AnsatzSupport.full(0, 0, 0, shift_n_max=1)
-        m = build_equations(t, sup)
-        # rows stop at n_max - 1 so that n + 1 stays inside the table
-        assert m.shape == (sum(range(1, 12)), 2)
-
-    def test_finds_pure_n_step_relation(self):
-        # synthetic table with B(n, j) = q^j: rows repeat, so the relation
-        # B(n+1, j) - B(n, j) = 0 spans the nullspace
-        q = 6
-        rows = [
-            np.array([pow(q, j, P.p) for j in range(1, n + 1)], dtype=np.int64)
-            for n in range(1, 11)
-        ]
-        t = CofactorTable(10, q, P, rows)
-        sup = AnsatzSupport.full(0, 0, 0, shift_n_max=1)
-        rec = guess_modular(t, sup)
-        assert rec.nullspace_dim == 1
-        assert rec.coefficients.tolist() == [1, P.p - 1]
-        grid = annihilation_residuals(rec, t)
-        assert not grid.any()
 
 
 def synthetic_recs(support, pivot, funcs, q_points):

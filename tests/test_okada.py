@@ -2,12 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qtspp.cofactors import PADIC_PRECISION
 from qtspp.fieldcore import PrimeModulus
 from qtspp.okada import (
     DegenerateDenominator,
     QPoint,
+    entry_matrix,
     has_admissible_order,
     nice_ratio,
     nice_ratio_q1_exact,
@@ -134,6 +137,14 @@ class TestOkadaEntry:
             for i in range(1, 10):
                 for j in range(1, 10):
                     assert okada_entry(i, j, qpt) == sl[i - 1, j - 1]
+
+    def test_prime_power_matrix_reduces_to_slice(self):
+        # the Python-int path (mod p**PADIC_PRECISION) and the int64 path
+        # (mod p) are the same code; their images mod p must agree
+        for q in (1, 2, 3, 2**7):
+            big = entry_matrix(60, q, P.p**PADIC_PRECISION)
+            assert big.dtype == object and okada_slice(60, qp(q)).dtype == np.int64
+            assert (big % P.p).tolist() == okada_slice(60, qp(q)).tolist()
 
     def test_bad_indices(self):
         with pytest.raises(ValueError):
