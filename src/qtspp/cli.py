@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cofactors import CofactorTable, build_table, load_table
-from .fieldcore import DEFAULT_PRIME, PrimeModulus, WorkbenchError
+from .fieldcore import DEFAULT_PRIME, InvalidInput, PrimeModulus, WorkbenchError
 from .guessing import (
     AnsatzSupport,
     ModularRecurrence,
@@ -72,11 +72,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.n_max <= self.gamma_max:
-            raise ValueError("n_max must exceed gamma_max")
+            raise InvalidInput("n_max must exceed gamma_max")
         if self.q_to < self.q_from:
-            raise ValueError("sweep range is empty")
+            raise InvalidInput("sweep range is empty")
         if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
+            raise InvalidInput("worker count must be >= 1")
 
     def modulus(self) -> PrimeModulus:
         return PrimeModulus(self.prime)

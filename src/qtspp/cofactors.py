@@ -25,6 +25,7 @@ import numpy as np
 
 from .fieldcore import (
     FieldElement,
+    InvalidInput,
     PrimeModulus,
     SingularMatrix,
     WorkbenchError,
@@ -164,16 +165,23 @@ def _table_from_triples(q_int: int, p: int, n_max: int, triples) -> CofactorTabl
 
 
 def load_table(path: str | Path) -> CofactorTable:
-    """Read a table file, auto-detecting the binary or text layout."""
+    """Read a table file, auto-detecting the binary or text layout.
+
+    A file that does not parse, or that names a position twice or not at
+    all, raises InvalidInput naming the file.
+    """
     data = Path(path).read_bytes()
-    if data[:4] == _BINARY_MAGIC:
-        q_int, p, n_max = struct.unpack_from("<QQQ", data, 4)
-        triples = struct.iter_unpack("<IIQ", data[4 + 24 :])
+    try:
+        if data[:4] == _BINARY_MAGIC:
+            q_int, p, n_max = struct.unpack_from("<QQQ", data, 4)
+            triples = struct.iter_unpack("<IIQ", data[4 + 24 :])
+            return _table_from_triples(q_int, p, n_max, triples)
+        lines = data.decode("ascii").splitlines()
+        q_int, p, n_max = (int(t) for t in lines[0].split())
+        triples = (tuple(int(t) for t in line.split()) for line in lines[1:] if line.strip())
         return _table_from_triples(q_int, p, n_max, triples)
-    lines = data.decode("ascii").splitlines()
-    q_int, p, n_max = (int(t) for t in lines[0].split())
-    triples = (tuple(int(t) for t in line.split()) for line in lines[1:] if line.strip())
-    return _table_from_triples(q_int, p, n_max, triples)
+    except (ValueError, IndexError, struct.error) as exc:
+        raise InvalidInput(f"malformed table file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact arithmetic over a word-sized prime field GF(p).
 
 The modulus, dense linear algebra on int64 residue arrays (the nested
-leading kernels of one matrix, nullspace and determinant, each one Gaussian
-elimination taking an explicit p), univariate polynomials with
+leading kernels of one matrix, the kernel vector of an (n-1) x n system,
+nullspace and determinant, each one Gaussian elimination taking an
+explicit p), univariate polynomials with
 interpolation, and the two reconstruction algorithms that lift modular
 images back to symbolic objects: rational functions over GF(p) (Cauchy
 interpolation via the extended Euclidean algorithm, with no degree bounds:
@@ -35,6 +36,10 @@ MAX_MODULUS = 3037000499
 
 class WorkbenchError(Exception):
     """Base class for every error raised by this package."""
+
+
+class InvalidInput(WorkbenchError, ValueError):
+    """A configuration value, modulus or input file is malformed."""
 
 
 class ZeroInverse(WorkbenchError, ZeroDivisionError):
@@ -113,9 +118,9 @@ class PrimeModulus:
 
     def __post_init__(self):
         if not (2 < self.p <= MAX_MODULUS):
-            raise ValueError(f"modulus must be in (2, {MAX_MODULUS}], got {self.p}")
+            raise InvalidInput(f"modulus must be in (2, {MAX_MODULUS}], got {self.p}")
         if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+            raise InvalidInput(f"modulus {self.p} is not prime")
 
     def unit_group_factorization(self) -> tuple[tuple[int, int], ...]:
         return _factorize(self.p - 1)
@@ -213,6 +218,37 @@ def leading_kernels_mod(a: np.ndarray, p: int) -> dict[int, np.ndarray]:
         if rest.size:
             m[rest] = (m[rest] - np.outer(m[rest, k], m[piv])) % p
     return out
+
+
+def last_kernel_mod(a: np.ndarray, p: int) -> np.ndarray | None:
+    """The x with x[-1] = 1 and a @ x = 0 for an (n-1) x n matrix a over GF(p).
+
+    Returns None when the square block a[:, :-1] is singular, the one case
+    in which no such x is unique.  Forward elimination with row swaps works
+    only on the rows below and the columns right of each pivot, so its
+    working set shrinks every step; back substitution reduces products
+    before summing them.
+    """
+    rows, cols = a.shape
+    if cols != rows + 1:
+        raise ValueError(f"expected an (n-1) x n matrix, got {rows} x {cols}")
+    m = a % p
+    for k in range(rows):
+        nz = np.nonzero(m[k:, k])[0]
+        if nz.size == 0:
+            return None
+        r = k + int(nz[0])
+        if r != k:
+            m[[k, r], k:] = m[[r, k], k:]
+        m[k, k:] = m[k, k:] * _inv_mod(int(m[k, k]), p) % p
+        below = m[k + 1 :, k:]
+        below -= np.outer(below[:, 0], m[k, k:])
+        below %= p
+    x = np.zeros(cols, dtype=np.int64)
+    x[rows] = 1
+    for k in range(rows - 1, -1, -1):
+        x[k] = -int((m[k, k + 1 :] * x[k + 1 :] % p).sum()) % p
+    return x
 
 
 def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

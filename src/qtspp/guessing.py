@@ -7,8 +7,11 @@ one equation per table position, extract the modular nullspace, refine the
 support by dropping zero coefficients, repeat the computation across a range
 of q points, and reconstruct the coefficients as integer polynomials in q
 via rational function reconstruction over one shared denominator, then
-rational number reconstruction.  Table values beyond the triangular domain
-in j read as zero (zero extension).
+rational number reconstruction.  The sweep knows each point's answer shape
+(a one dimensional kernel, normalized on the pivot term), so it solves one
+square system per point on equation rows fixed once, certified by the
+residual on every row, and takes the nullspace only as the fallback.  Table
+values beyond the triangular domain in j read as zero (zero extension).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +31,7 @@ import numpy as np
 from .cofactors import CofactorTable, build_table
 from .fieldcore import (
     IntegerPoly,
+    InvalidInput,
     NoFit,
     PoleAtSample,
     NoReconstruction,
@@ -34,9 +39,12 @@ from .fieldcore import (
     PrimeModulus,
     SingularMatrix,
     WorkbenchError,
+    last_kernel_mod,
+    matvec_mod,
     nullspace_mod,
     reconstruct_rational_function,
     reconstruct_rational_number,
+    rref_mod,
 )
 from .okada import MIN_Q_ORDER, QPoint
 
@@ -108,6 +116,17 @@ class AnsatzSupport:
         return iter(self.terms)
 
 
+def _check_recurrence(rec, noun: str, is_zero) -> None:
+    """One coefficient per support term, and a nonzero one on the pivot term."""
+    count, terms = len(rec.coefficients), rec.support.terms
+    if count != len(terms):
+        raise InvalidInput(f"recurrence has {count} {noun}s for {len(terms)} support terms")
+    if rec.pivot_term not in terms:
+        raise InvalidInput(f"pivot term {rec.pivot_term} is not in the support")
+    if is_zero(rec.coefficients[terms.index(rec.pivot_term)]):
+        raise InvalidInput(f"pivot term {rec.pivot_term} has a zero {noun}")
+
+
 @dataclass
 class ModularRecurrence:
     """One nullspace solution at one q point, pivot coefficient fixed to 1."""
@@ -121,8 +140,7 @@ class ModularRecurrence:
 
     def __post_init__(self):
         self.coefficients = np.mod(np.asarray(self.coefficients, dtype=np.int64), self.prime)
-        if self.coefficients.shape != (len(self.support),):
-            raise ValueError("coefficient count does not match support")
+        _check_recurrence(self, "coefficient", lambda c: c == 0)
 
     def zero_count(self) -> int:
         return int(np.count_nonzero(self.coefficients == 0))
@@ -149,17 +167,7 @@ class SymbolicRecurrence:
     q_points_used: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if len(self.coefficients) != len(self.support):
-            raise WorkbenchError(
-                f"recurrence has {len(self.coefficients)} coefficient polynomials "
-                f"for {len(self.support)} support terms"
-            )
-        if self.pivot_term not in self.support.terms:
-            raise WorkbenchError(f"pivot term {self.pivot_term} is not in the support")
-        if self.coefficients[self.support.terms.index(self.pivot_term)].is_zero():
-            raise WorkbenchError(
-                f"pivot term {self.pivot_term} has a zero coefficient polynomial"
-            )
+        _check_recurrence(self, "coefficient polynomial", IntegerPoly.is_zero)
 
     def max_abs_coefficient(self) -> int:
         return max(c.max_abs_coefficient() for c in self.coefficients)
@@ -296,22 +304,77 @@ def annihilation_residuals(
 # ---------------------------------------------------------------------------
 
 
-def _sweep_one(args):
-    q_int, p, n_max, support, pivot_term = args
+def _point_table(q_int: int, p: int, n_max: int) -> tuple[CofactorTable | None, str | None]:
+    """The sweep's table at q_int, or None and the reason the point is skipped."""
     qpt = QPoint(q_int, PrimeModulus(p))
     if qpt.order < MIN_Q_ORDER:
-        return q_int, None, 0, f"singular table: q has multiplicative order {qpt.order}"
+        return None, f"singular table: q has multiplicative order {qpt.order}"
     try:
-        table = build_table(n_max, qpt)
+        return build_table(n_max, qpt), None
     except SingularMatrix as exc:
-        return q_int, None, 0, f"singular table: {exc}"
+        return None, f"singular table: {exc}"
+
+
+def _fixed_rows(
+    support: AnsatzSupport, q_from: int, q_to: int, p: int, n_max: int
+) -> np.ndarray | None:
+    """len(support) - 1 independent equation rows, picked once for a sweep.
+
+    They are the pivot columns of rref(M.T) for the system M at the first q
+    in range whose table builds; None when M's rank is not len(support) - 1.
+    """
+    for q_int in range(q_from, q_to + 1):
+        table, _ = _point_table(q_int, p, n_max)
+        if table is None:
+            continue
+        _, pivots = rref_mod(build_equations(table, support).T, p)
+        return np.array(pivots, dtype=np.intp) if len(pivots) == len(support) - 1 else None
+    return None
+
+
+def _square_solve(
+    m: np.ndarray, rows: np.ndarray, k: int, p: int
+) -> tuple[np.ndarray | None, str]:
+    """The kernel vector of m with x[k] = 1, from the fixed rows alone.
+
+    Returns (x, "") when the fixed rows' subsystem is nonsingular and x
+    annihilates every row of m; that makes m's rank at least len(x) - 1, so
+    x spans the kernel.  Otherwise returns (None, the cause).
+    """
+    order = np.r_[0:k, k + 1 : m.shape[1], k]  # the pivot term last
+    y = last_kernel_mod(m[np.ix_(rows, order)], p)
+    if y is None:
+        return None, "fixed rows are singular"
+    x = np.empty_like(y)
+    x[order] = y
+    if matvec_mod(m, x, p).any():
+        return None, "nonzero residual"
+    return x, ""
+
+
+def _sweep_one(args, rows: np.ndarray | None = None):
+    """One sweep point: (q, coefficients or None, nullspace dimension, skip reason).
+
+    With fixed rows the point is one square solve (_square_solve); when
+    that is refused the point falls back to the nullspace of the whole
+    system (guess_modular), which also decides every skip.
+    """
+    q_int, p, n_max, support, pivot_term = args
+    table, reason = _point_table(q_int, p, n_max)
+    if table is None:
+        return q_int, None, 0, reason
+    k = support.terms.index(pivot_term)
+    if rows is not None:
+        coeffs, cause = _square_solve(build_equations(table, support), rows, k, p)
+        if coeffs is not None:
+            return q_int, coeffs, 1, None
+        log.info("sweep q=%d: %s, falling back to the nullspace", q_int, cause)
     try:
         rec = guess_modular(table, support)
     except NoRecurrence:
         return q_int, None, 0, "trivial nullspace"
     if rec.nullspace_dim != 1:
         return q_int, None, rec.nullspace_dim, f"nullspace dimension {rec.nullspace_dim}"
-    k = support.terms.index(pivot_term)
     piv = int(rec.coefficients[k])
     if piv == 0:
         return q_int, None, 1, "pivot coefficient vanishes"
@@ -333,7 +396,14 @@ def sweep(
 
     All surviving recurrences are normalized on the same pivot term (by
     default the support's first term), so across q points each coefficient
-    is a sample of one rational function of q.  Points where the table is
+    is a sample of one rational function of q.  len(support) - 1
+    independent equation rows are fixed once, at the first q whose table
+    builds (_fixed_rows); each point then solves that square system with
+    the pivot coefficient set to 1 and accepts the solution only when it
+    annihilates every equation row, which proves the kernel one
+    dimensional.  A singular subsystem or a nonzero residual is logged at
+    INFO and the point falls back to the nullspace of the whole system, as
+    does every point when no rows could be fixed.  Points where the table is
     singular (or q's multiplicative order is below MIN_Q_ORDER), the
     nullspace dimension differs from 1, or the pivot coefficient vanishes
     are logged and skipped.  A table that runs out of p-adic precision
@@ -351,11 +421,12 @@ def sweep(
     if pivot_term not in support.terms:
         raise ValueError(f"pivot term {pivot_term} not in support")
     jobs = [(q, p, n_max, support, pivot_term) for q in range(q_from, q_to + 1)]
+    one = partial(_sweep_one, rows=_fixed_rows(support, q_from, q_to, p, n_max))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, jobs, chunksize=4))
+            results = list(pool.map(one, jobs, chunksize=4))
     else:
-        results = [_sweep_one(job) for job in jobs]
+        results = [one(job) for job in jobs]
     out = []
     for q_int, coeffs, dim, reason in sorted(results, key=lambda r: r[0]):
         if coeffs is None:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from qtspp.guessing import (
 from qtspp.okada import QPoint
 
 P = PrimeModulus()
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "recurrence-symbolic.json"
 
 
 def config(tmp_path, **kw):
@@ -208,6 +210,74 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "report-extended-q3.json").exists()
+
+
+    @pytest.mark.parametrize("q", [2, 151])
+    def test_extended_at_a_second_prime(self, tmp_path, q):
+        # the committed integer polynomials annihilate a fresh table mod the
+        # largest admissible prime too, not only mod 2**31 - 1
+        rc = main([
+            "verify", "extended", "--prime", "3037000493", "--q", str(q), "--n-ext", "60",
+            "--in", str(FIXTURE), "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        report = json.loads((tmp_path / f"report-extended-q{q}.json").read_text())
+        assert report["passed"] and report["checks"] > 0
+
+    @pytest.mark.parametrize(
+        "craft, message",
+        [
+            (lambda doc, k: [], "0 coefficients for 440 support terms"),
+            (lambda doc, k: doc["coefficients"][:k] + [0] + doc["coefficients"][k + 1:],
+             "has a zero coefficient"),
+        ],
+        ids=["empty", "zero-pivot"],
+    )
+    def test_extended_refuses_malformed_modular_recurrence(
+        self, tmp_path, capsys, modular_rec, craft, message
+    ):
+        doc = json.loads(save_recurrence(modular_rec, tmp_path / "m.json").read_text())
+        k = modular_rec.support.terms.index(modular_rec.pivot_term)
+        doc["coefficients"] = craft(doc, k)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main([
+            "verify", "extended", "--q", "3", "--n-ext", "40",
+            "--in", str(bad), "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+
+class TestBadInput:
+    """Input validation ends in one error line and exit status 1."""
+
+    def run(self, capsys, *argv):
+        rc = main(list(argv))
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def test_config(self, tmp_path, capsys):
+        err = self.run(capsys, "guess", "--n-max", "1", "--out", str(tmp_path))
+        assert "n_max must exceed gamma_max" in err
+
+    def test_modulus(self, tmp_path, capsys):
+        err = self.run(capsys, "cofactors", "--prime", "4", "--out", str(tmp_path))
+        assert "modulus 4 is not prime" in err
+
+    def test_malformed_table_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 2147483647 2\n1 1 1\n2 1\n")
+        err = self.run(capsys, "guess", "--n-max", "12", "--in", str(bad), "--out", str(tmp_path))
+        assert f"malformed table file {bad}" in err
+
+    def test_repeated_position(self, tmp_path, capsys):
+        bad = tmp_path / "twice.txt"
+        bad.write_text("2 2147483647 2\n1 1 1\n2 1 5\n2 1 5\n")
+        err = self.run(capsys, "guess", "--n-max", "12", "--in", str(bad), "--out", str(tmp_path))
+        assert "position (2, 1) appears twice" in err
 
 
 class TestPipelineQ1:

@@ -18,6 +18,7 @@ from qtspp.fieldcore import (
     _is_prime,
     det_mod,
     interpolate_poly,
+    last_kernel_mod,
     leading_kernels_mod,
     matvec_mod,
     nullspace_mod,
@@ -147,6 +148,43 @@ class TestLeadingKernels:
         assert rows[3].tolist() == [P.p - 3, P.p - 2, 1]
 
 
+def nonsingular_systems(rng, p, sizes, draw):
+    """(n-1) x n matrices from draw(shape) whose block a[:, :-1] is a unit."""
+    for n in sizes:
+        while True:
+            a = draw(rng, (n - 1, n)) % p
+            if n == 1 or det_mod(a[:, :-1], p):
+                yield a
+                break
+
+
+class TestLastKernel:
+    @staticmethod
+    def uniform(rng, shape):
+        return rng.integers(0, P.p, size=shape)
+
+    def test_matches_nullspace(self):
+        rng = np.random.default_rng(31)
+        for a in nonsingular_systems(rng, P.p, (1, 2, 5, 30, 80), self.uniform):
+            basis = nullspace_mod(a, P.p)
+            assert basis.shape == (1, a.shape[1]) and basis[0, -1] == 1
+            assert last_kernel_mod(a, P.p).tolist() == basis[0].tolist()
+
+    def test_needs_a_row_swap(self):
+        # the first pivot sits in the second row
+        x = last_kernel_mod(arr([[0, 1, 2], [1, 0, 3]]), P.p)
+        assert x.tolist() == [P.p - 3, P.p - 2, 1]
+
+    def test_singular_leading_minor(self):
+        assert last_kernel_mod(arr([[1, 2, 3], [2, 4, 5]]), P.p) is None
+        # the full matrix has a kernel, but not one with x[-1] = 1
+        assert last_kernel_mod(arr([[1, 0, 0], [0, 0, 1]]), P.p) is None
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError):
+            last_kernel_mod(np.eye(3, dtype=np.int64), P.p)
+
+
 class TestNullspace:
     def test_full_rank(self):
         assert nullspace_mod(np.eye(4, dtype=np.int64), P.p).shape == (0, 4)
@@ -259,6 +297,14 @@ class TestLargestModulus:
             for x in basis:
                 assert not any(matvec_exact(a, x, BIG_P))
                 assert not matvec_mod(a, x, BIG_P).any()
+
+    def test_last_kernel_round_trip(self):
+        rng = np.random.default_rng(37)
+        for a in nonsingular_systems(rng, BIG_P, (2, 7, 40), self.near_p):
+            x = last_kernel_mod(a, BIG_P)
+            assert x[-1] == 1
+            assert not any(matvec_exact(a, x, BIG_P))
+            assert x.tolist() == nullspace_mod(a, BIG_P)[0].tolist()
 
     def test_det_against_cofactor_expansion(self):
         rng = np.random.default_rng(23)

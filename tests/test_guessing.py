@@ -1,10 +1,11 @@
+import logging
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qtspp import cli
+from qtspp import cli, guessing
 from qtspp.cofactors import CofactorTable, build_table
 from qtspp.fieldcore import IntegerPoly, PrimeModulus, WorkbenchError, nullspace_mod
 from qtspp.guessing import (
@@ -214,6 +215,92 @@ class TestSweep:
 
     def test_full_sweep_survives_everywhere(self, sweep_recs):
         assert [r.q_int for r in sweep_recs] == list(range(2, 151))
+
+
+def outcome(result):
+    """A _sweep_one result with its coefficients as a comparable list."""
+    q_int, coeffs, dim, reason = result
+    return q_int, None if coeffs is None else coeffs.tolist(), dim, reason
+
+
+def fallback_records(caplog):
+    return [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()]
+
+
+class TestSquareSolve:
+    """The fixed-row square solve and its certified fallback to the nullspace."""
+
+    def test_matches_the_nullspace_path(self, refined, modular_rec, sweep_recs):
+        # the fixture itself is pinned bytewise to the nullspace-path sweep
+        # (test_bytes_match_the_benchmark_fixture); this checks points directly
+        rows = guessing._fixed_rows(refined, 2, 150, P.p, 35)
+        assert len(rows) == len(refined) - 1
+        for rec in sweep_recs[::24]:
+            job = (rec.q_int, P.p, 35, refined, modular_rec.pivot_term)
+            fast = outcome(guessing._sweep_one(job, rows))
+            assert fast == outcome(guessing._sweep_one(job))
+            assert fast[1] == rec.coefficients.tolist()
+
+    def test_corrupted_row_trips_the_residual(self, refined, modular_rec, monkeypatch, caplog):
+        # rows are fixed at the clean q = 2; at q = 3..5 one equation row
+        # outside them is corrupted, which only the residual can see
+        rows = guessing._fixed_rows(refined, 2, 150, P.p, 35)
+        bad = min(set(range(630)) - set(rows.tolist()))
+        clean = guessing.build_equations
+
+        def corrupted(table, support):
+            m = clean(table, support)
+            if table.q_int != 2:
+                m[bad, 0] = (m[bad, 0] + 1) % P.p
+            return m
+
+        monkeypatch.setattr(guessing, "build_equations", corrupted)
+        kw = dict(p=P.p, n_max=35, pivot_term=modular_rec.pivot_term, min_points=1)
+        with caplog.at_level(logging.INFO, logger="qtspp.guessing"):
+            recs = sweep(refined, 2, 5, workers=1, **kw)
+        assert fallback_records(caplog) == [
+            f"sweep q={q}: nonzero residual, falling back to the nullspace" for q in (3, 4, 5)
+        ]
+        # each point ends as the nullspace path alone ends on the corrupted system
+        want = [outcome(guessing._sweep_one((q, P.p, 35, refined, modular_rec.pivot_term)))
+                for q in range(2, 6)]
+        assert [r[1] is not None for r in want] == [True, False, False, False]
+        assert [r.q_int for r in recs] == [2]
+        assert recs[0].coefficients.tolist() == want[0][1]
+        skipped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep skipped")]
+        assert skipped == [f"sweep skipped q={q}: {w[3]}" for q, w in zip(range(3, 6), want[1:])]
+
+    def test_singular_subsystem_falls_back(self, refined, modular_rec, sweep_recs, monkeypatch, caplog):
+        fixed = guessing._fixed_rows
+
+        def duplicated(*args):
+            rows = fixed(*args).copy()
+            rows[1] = rows[0]
+            return rows
+
+        monkeypatch.setattr(guessing, "_fixed_rows", duplicated)
+        kw = dict(p=P.p, n_max=35, pivot_term=modular_rec.pivot_term, min_points=1)
+        with caplog.at_level(logging.INFO, logger="qtspp.guessing"):
+            recs = sweep(refined, 2, 5, workers=1, **kw)
+        assert fallback_records(caplog) == [
+            f"sweep q={q}: fixed rows are singular, falling back to the nullspace"
+            for q in range(2, 6)
+        ]
+        assert [r.q_int for r in recs] == list(range(2, 6))
+        for got, want in zip(recs, sweep_recs[:4]):
+            assert got.coefficients.tolist() == want.coefficients.tolist()
+
+    def test_no_rows_without_a_relation(self, caplog):
+        # two terms with no relation between them: the rank is 2, not 1, so
+        # no rows are fixed and every point takes the nullspace path
+        sup = AnsatzSupport(((0, 0, 0), (0, 0, 1)), (0, 0, 1))
+        assert guessing._fixed_rows(sup, 2, 4, P.p, 12) is None
+        with caplog.at_level(logging.INFO, logger="qtspp.guessing"):
+            assert sweep(sup, 2, 4, p=P.p, n_max=12, min_points=0) == []
+        assert not fallback_records(caplog)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sweep skipped q={q}: trivial nullspace" for q in (2, 3, 4)
+        ]
 
 
 def synthetic_recs(support, pivot, funcs, q_points):
