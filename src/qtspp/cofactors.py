@@ -5,10 +5,10 @@ last-row cofactors of every leading principal minor of the entry matrix:
 row n is the unique vector x with x[n] = 1 that is orthogonal to rows
 1..n-1 of the matrix (the orthogonality and normalization identities).
 The rows are nested kernels of one matrix, so one GF(p) elimination yields
-every row whose leading minor is a unit mod p; each remaining row takes one
-elimination mod p**PADIC_PRECISION, and running out of those digits raises
-PrecisionExhausted.  Every row is re-checked against the orthogonality
-identity before the table is accepted.
+every row whose leading minor is a unit mod p.  The others share one
+elimination mod p**PADIC_PRECISION on unit pivots, then take one small Schur
+complement solve each (PrecisionExhausted when those digits run out).
+Every row is re-checked against the orthogonality identity.
 
 Independent oracles: direct determinant elimination, the telescoped
 certificate product, and a minors-based cofactor computation at small sizes.
@@ -167,10 +167,13 @@ def _table_from_triples(q_int: int, p: int, n_max: int, triples) -> CofactorTabl
 def load_table(path: str | Path) -> CofactorTable:
     """Read a table file, auto-detecting the binary or text layout.
 
-    A file that does not parse, or that names a position twice or not at
-    all, raises InvalidInput naming the file.
+    A file that cannot be read or parsed, or that names a position twice or
+    not at all, raises InvalidInput naming the file.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read table file {path}: {exc}") from exc
     try:
         if data[:4] == _BINARY_MAGIC:
             q_int, p, n_max = struct.unpack_from("<QQQ", data, 4)
@@ -191,9 +194,9 @@ def load_table(path: str | Path) -> CofactorTable:
 # At a q point of small multiplicative order (2 has order 31 mod 2**31 - 1)
 # some leading minors of the entry matrix are divisible by p although the
 # certificate values themselves are p-integral (the prime powers cancel
-# between minors).  Those rows are solved modulo p**PADIC_PRECISION with
-# minimal-valuation pivoting; the orthogonality residual check then
-# certifies them like any other row.
+# between minors).  Those rows are lifted mod p**PADIC_PRECISION, every
+# lossy pivot inside one row's small Schur complement; the orthogonality
+# residual check then certifies them like any other row.
 
 #: p-adic digits carried by a lifted row.  Pivots of total valuation d cost
 #: up to d digits in elimination and d more in back substitution, and the
@@ -214,25 +217,46 @@ def _valuation(v: int, p: int) -> int:
     return k
 
 
-def _padic_row(ents: list[list[int]], n: int, qpt: QPoint) -> np.ndarray:
-    """Row n as p**s times the exact rational row, mod p, from one elimination.
+def _extend_prefix(m: list[list[int]], lo: int, hi: int, n: int, qpt: QPoint) -> None:
+    """Eliminate columns lo..hi-1 of m mod p**PADIC_PRECISION, on unit pivots only.
 
-    Eliminates a[:n-1, :n] mod p**K with minimal-valuation pivots; their
-    total valuation d is the valuation of the leading (n-1)-minor, so the
-    kernel vector y with y[n-1] = p**d is p-integral.  Back substitution
-    finds it, and dividing out its least valuation leaves p**s times the
-    rational row (s = 0 is the ordinary case, with y[n-1] reduced to 1).
-    All identities used downstream (orthogonality residuals, recurrence
-    annihilation, the ansatz equations) are homogeneous within a row, so
-    the scaling is invisible to them; only the diagonal entry stops being
-    1 when s > 0, which the normalization check reports as it should.
+    Column c pivots on the first of rows c..hi-1 holding a unit, so no digit
+    is lost and rows hi onward keep their place; other rows are reduced when
+    they become pivots.  A column with no unit (so the leading hi-minor is
+    not a unit) raises WorkbenchError naming n, q and the column.
     """
     p = qpt.modulus.p
     pk = p**PADIC_PRECISION
-    m = [row[:n] for row in ents[: n - 1]]
-    vals: list[int] = []
-    for col in range(n - 1):
-        v, best = min((_valuation(m[r][col], p), r) for r in range(col, n - 1))
+    for col in range(lo, hi):
+        best = next((r for r in range(col, hi) if m[r][col] % p), None)
+        if best is None:
+            raise WorkbenchError(f"row n={n} at q={qpt.q_int}: prefix column {col} has no unit")
+        m[col], m[best] = m[best], m[col]
+        unit_inv = pow(m[col][col], -1, pk)
+        prow = m[col] = [x * unit_inv % pk for x in m[col]]
+        for row in m[col + 1 :]:
+            f = row[col] % pk
+            if f:
+                row[col:] = [x - f * y for x, y in zip(row[col:], prow[col:])]
+
+
+def _schur_row(m: list[list[int]], k: int, n: int, qpt: QPoint) -> np.ndarray:
+    """Row n as p**s times the exact rational row, mod p, past k eliminated columns.
+
+    Eliminates the Schur complement m[k:n-1][k:n] with minimal-valuation
+    pivots; with the unit prefix their total valuation d is the valuation of
+    the leading (n-1)-minor, so the kernel vector y with y[n-1] = p**d is
+    p-integral.  Back substitution finds it, and dividing out its least
+    valuation leaves p**s times the rational row (s = 0 is the ordinary
+    case, with y[n-1] reduced to 1).  Every identity used downstream is
+    homogeneous within a row, so only the normalization check sees s > 0.
+    """
+    p = qpt.modulus.p
+    pk = p**PADIC_PRECISION
+    u = [row[:n] for row in m[:k]] + [[0] * k + [x % pk for x in r[k:n]] for r in m[k : n - 1]]
+    vals = [0] * k
+    for col in range(k, n - 1):
+        v, best = min((_valuation(u[r][col], p), r) for r in range(col, n - 1))
         vals.append(v)
         if 2 * sum(vals) + 2 > PADIC_PRECISION:
             raise PrecisionExhausted(
@@ -240,19 +264,19 @@ def _padic_row(ents: list[list[int]], n: int, qpt: QPoint) -> np.ndarray:
                 f"but PADIC_PRECISION={PADIC_PRECISION} digits allow only 2d + 2 <= "
                 f"{PADIC_PRECISION}; raise cofactors.PADIC_PRECISION"
             )
-        m[col], m[best] = m[best], m[col]
-        prow, pv = m[col], p**v
+        u[col], u[best] = u[best], u[col]
+        prow, pv = u[col], p**v
         unit_inv = pow(prow[col] // pv, -1, pk)
-        for row in m[col + 1 :]:
+        for row in u[col + 1 :]:
             f = row[col] // pv * unit_inv % pk
             if f:
                 row[col:] = [(x - f * y) % pk for x, y in zip(row[col:], prow[col:])]
     d = sum(vals)
     y = [0] * (n - 1) + [p**d]
     for i in reversed(range(n - 1)):
-        acc = -sum(x * z for x, z in zip(m[i][i + 1 :], y[i + 1 :])) % pk
+        acc = -sum(x * z for x, z in zip(u[i][i + 1 :], y[i + 1 :])) % pk
         pv = p ** vals[i]
-        y[i] = acc // pv * pow(m[i][i] // pv, -1, pk) % pk
+        y[i] = acc // pv * pow(u[i][i] // pv, -1, pk) % pk
     low = min(_valuation(v, p) for v in y)
     if low < d:
         log.info("row n=%d at q=%d stored as p**%d times the rational row", n, qpt.q_int, d - low)
@@ -263,23 +287,30 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     """All cofactor rows up to n_max, with orthogonality residuals verified.
 
     Rows whose leading minor is a unit mod p come from one GF(p) elimination
-    (leading_kernels_mod); each other row from one elimination mod
-    p**PADIC_PRECISION (_padic_row), which raises PrecisionExhausted when
-    those digits do not suffice.  A row that fails the orthogonality
-    identity raises SingularMatrix carrying the offending n; the whole q
-    point is then abandoned.
+    (leading_kernels_mod).  The others come in blocks of consecutive n, and
+    the leading minor before a block is a unit: one elimination mod
+    p**PADIC_PRECISION on unit pivots, extended once per block
+    (_extend_prefix), reaches each block, and each of its rows is one small
+    Schur complement solve (_schur_row), which raises PrecisionExhausted
+    when those digits do not suffice.  A row that fails the orthogonality
+    identity raises SingularMatrix carrying the offending n.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     p = qpt.modulus.p
     a = okada_slice(n_max, qpt)
     rows = leading_kernels_mod(a, p)
-    ents = None
+    lifted = [n for n in range(2, n_max + 1) if n not in rows]
+    if lifted:  # rows < n - 1 and columns < n of the entry matrix serve row n
+        m = entry_matrix(lifted[-1], qpt.q_int, p**PADIC_PRECISION).tolist()[:-1]
+    k = 0  # columns < k of m are eliminated
     for n in range(2, n_max + 1):
-        if n not in rows:
+        if n in lifted:
             log.info("minor system singular mod p at n=%d, q=%d; lifting precision", n, qpt.q_int)
-            ents = ents or entry_matrix(n_max, qpt.q_int, p**PADIC_PRECISION).tolist()
-            rows[n] = _padic_row(ents, n, qpt)
+            if n - 1 not in lifted:  # a block starts: row n - 1 says the (n-2)-minor is a unit
+                _extend_prefix(m, k, n - 2, n, qpt)
+                k = n - 2
+            rows[n] = _schur_row(m, k, n, qpt)
         if matvec_mod(a[: n - 1, :n], rows[n], p).any():
             err = SingularMatrix(f"row n={n} fails the orthogonality identity at q={qpt.q_int}")
             err.n = n

@@ -609,26 +609,24 @@ def save_recurrence(rec: ModularRecurrence | SymbolicRecurrence, path: str | Pat
 
 
 def load_recurrence(path: str | Path) -> ModularRecurrence | SymbolicRecurrence:
-    doc = json.loads(Path(path).read_text())
-    support = AnsatzSupport(
-        tuple(tuple(t) for t in doc["support"]), tuple(doc["bounds"])
-    )
-    pivot = tuple(doc["pivot"])
-    if doc["mode"] == "modular":
-        return ModularRecurrence(
-            support=support,
-            q_int=doc["q_points_used"][0],
-            prime=doc["prime"],
-            coefficients=np.array(doc["coefficients"], dtype=np.int64),
-            pivot_term=pivot,
-            nullspace_dim=doc["metadata"]["nullspace_dim"],
-        )
-    if doc["mode"] == "symbolic":
-        return SymbolicRecurrence(
-            support=support,
-            pivot_term=pivot,
-            coefficients=[IntegerPoly(c) for c in doc["coefficients"]],
-            prime=doc["prime"],
-            q_points_used=list(doc["q_points_used"]),
-        )
-    raise ValueError(f"unknown recurrence mode {doc['mode']!r}")
+    """Read a recurrence file; an unreadable, incomplete or unknown one raises InvalidInput."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidInput(f"cannot read recurrence file {path}: {exc}") from exc
+    try:
+        support = AnsatzSupport(tuple(tuple(t) for t in doc["support"]), tuple(doc["bounds"]))
+        pivot, coefficients, prime = tuple(doc["pivot"]), doc["coefficients"], doc["prime"]
+        qs = list(doc["q_points_used"])
+        if doc["mode"] == "modular":
+            coefficients = np.array(coefficients, dtype=np.int64)
+            dim = doc["metadata"]["nullspace_dim"]
+            return ModularRecurrence(support, qs[0], prime, coefficients, pivot, dim)
+        if doc["mode"] == "symbolic":
+            coefficients = [IntegerPoly(c) for c in coefficients]
+            return SymbolicRecurrence(support, pivot, coefficients, prime, qs)
+    except KeyError as exc:
+        raise InvalidInput(f"recurrence file {path} has no {exc.args[0]!r} key") from exc
+    except (TypeError, IndexError) as exc:
+        raise InvalidInput(f"malformed recurrence file {path}: {exc}") from exc
+    raise InvalidInput(f"recurrence file {path} has unknown mode {doc['mode']!r}")

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .cofactors import CofactorTable, build_table
-from .fieldcore import IntegerPoly, PrimeModulus, WorkbenchError, matvec_mod
+from .fieldcore import IntegerPoly, PrimeModulus, SingularMatrix, WorkbenchError, matvec_mod
 from .guessing import (
     ModularRecurrence,
     SymbolicRecurrence,
@@ -268,39 +268,28 @@ def _ct_kernel_series(i: int, order: int) -> list[Fraction]:
     return g
 
 
-def solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination over the rationals (small systems only)."""
-    n = len(a)
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular rational system")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [c / pv for c in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [c - f * d for c, d in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
 def cofactor_rows_q1_exact(n_max: int) -> list[list[Fraction]]:
-    """Exact rational certificate rows at q = 1 (independent of GF(p))."""
-    entries = [
-        [Fraction(okada_entry_q1(i, j)) for j in range(1, n_max + 1)]
-        for i in range(1, n_max + 1)
-    ]
+    """Exact rational certificate rows at q = 1 (independent of GF(p)).
+
+    One elimination over the rationals without row exchanges keeps the
+    kernel of every a[:n-1, :n]; row n is back-substituted from it with
+    x[n-1] = 1.  A zero pivot (a vanishing leading minor) raises SingularMatrix.
+    """
+    u = [[Fraction(okada_entry_q1(i, j)) for j in range(1, n_max + 1)] for i in range(1, n_max)]
+    for col, prow in enumerate(u):
+        if prow[col] == 0:
+            raise SingularMatrix(f"row n={col + 2}: the leading {col + 1}-minor vanishes at q = 1")
+        prow[col:] = [x / prow[col] for x in prow[col:]]
+        for row in u[col + 1 :]:
+            f = row[col]
+            if f:
+                row[col:] = [x - f * y for x, y in zip(row[col:], prow[col:])]
     rows = []
     for n in range(1, n_max + 1):
-        if n == 1:
-            rows.append([Fraction(1)])
-            continue
-        a = [entries[i][: n - 1] for i in range(n - 1)]
-        b = [-entries[i][n - 1] for i in range(n - 1)]
-        x = solve_fraction_system(a, b)
-        rows.append(x + [Fraction(1)])
+        x = [Fraction(0)] * (n - 1) + [Fraction(1)]
+        for i in reversed(range(n - 1)):
+            x[i] = -sum(v * z for v, z in zip(u[i][i + 1 : n], x[i + 1 :]))
+        rows.append(x)
     return rows
 
 

@@ -20,12 +20,20 @@ from qtspp.guessing import (
     AnsatzSupport,
     SymbolicRecurrence,
     load_recurrence,
+    recurrence_to_json,
     save_recurrence,
 )
 from qtspp.okada import QPoint
 
 P = PrimeModulus()
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "recurrence-symbolic.json"
+SMALL_RECURRENCE = SymbolicRecurrence(
+    support=AnsatzSupport(((0, 0, 0), (0, 0, 1))),
+    pivot_term=(0, 0, 0),
+    coefficients=[IntegerPoly([1]), IntegerPoly([-1])],
+    prime=P.p,
+    q_points_used=[2],
+)
 
 
 def config(tmp_path, **kw):
@@ -278,6 +286,51 @@ class TestBadInput:
         bad.write_text("2 2147483647 2\n1 1 1\n2 1 5\n2 1 5\n")
         err = self.run(capsys, "guess", "--n-max", "12", "--in", str(bad), "--out", str(tmp_path))
         assert "position (2, 1) appears twice" in err
+
+    def test_missing_table_file(self, tmp_path, capsys):
+        gone = tmp_path / "gone.txt"
+        err = self.run(capsys, "guess", "--n-max", "12", "--in", str(gone), "--out", str(tmp_path))
+        assert f"cannot read table file {gone}" in err
+
+    def verify_extended(self, tmp_path, capsys, path):
+        return self.run(
+            capsys, "verify", "extended", "--q", "3", "--n-ext", "40",
+            "--in", str(path), "--out", str(tmp_path),
+        )
+
+    def recurrence_file(self, tmp_path, **changes):
+        """SMALL_RECURRENCE as a file, with keys changed, or dropped where None."""
+        doc = json.loads(recurrence_to_json(SMALL_RECURRENCE))
+        doc.update(changes)
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        return path
+
+    def test_recurrence_file_is_well_formed(self, tmp_path):
+        rec = load_recurrence(self.recurrence_file(tmp_path))
+        assert recurrence_to_json(rec) == recurrence_to_json(SMALL_RECURRENCE)
+
+    @pytest.mark.parametrize("key", ["support", "bounds", "pivot", "mode", "coefficients", "prime"])
+    def test_recurrence_missing_key(self, tmp_path, capsys, key):
+        path = self.recurrence_file(tmp_path, **{key: None})
+        err = self.verify_extended(tmp_path, capsys, path)
+        assert f"recurrence file {path} has no '{key}' key" in err
+
+    def test_recurrence_unknown_mode(self, tmp_path, capsys):
+        path = self.recurrence_file(tmp_path, mode="p-adic")
+        err = self.verify_extended(tmp_path, capsys, path)
+        assert f"recurrence file {path} has unknown mode 'p-adic'" in err
+
+    def test_recurrence_not_json(self, tmp_path, capsys):
+        path = tmp_path / "rec.json"
+        path.write_text("{support")
+        err = self.verify_extended(tmp_path, capsys, path)
+        assert f"cannot read recurrence file {path}" in err
+
+    def test_missing_recurrence_file(self, tmp_path, capsys):
+        gone = tmp_path / "gone.json"
+        err = self.verify_extended(tmp_path, capsys, gone)
+        assert f"cannot read recurrence file {gone}" in err
 
 
 class TestPipelineQ1:

@@ -13,7 +13,7 @@ from qtspp.cofactors import (
     det_direct,
     load_table,
 )
-from qtspp.fieldcore import PrimeModulus, SingularMatrix
+from qtspp.fieldcore import PrimeModulus, SingularMatrix, WorkbenchError
 from qtspp.guessing import AnsatzSupport, sweep
 from qtspp.okada import QPoint, okada_entry, qtspp_orbit_product
 from qtspp.verify import check_soichi
@@ -98,7 +98,7 @@ class TestBuildTable:
 
 
 class TestTableBytes:
-    """sha256 of to_text(), pinned from the per-row solver this code replaced."""
+    """sha256 of to_text(), pinned from the earlier per-row solvers."""
 
     DIGESTS = {
         (1, 120): "637943805d4a30a360ee6528a556b3c72acdd6e3c9a6fe376f6e00c0b2cfc177",
@@ -107,6 +107,8 @@ class TestTableBytes:
         (151, 120): "ba3f015d9d63e5691f8fd013c9922f5d69ccaa56c9d7d42351bbcc91e43e4a3b",
         (128, 60): "7d08d9b5657a8ea99dcfdf1be9bc0ef0064f0d30c2cf6b6fcd761cde87e73ba0",
         (2, 35): "6868df68c77339a576bced85b2adb8d2bc1b6d2833d4b9df38c51146bb22cb92",
+        (2**5, 60): "65519a75bf1a1f7515d955782d1a23043c850d128fac7f912c58574dcbac5e62",
+        (2**29, 60): "12bf64e145151e52caee16d05a71aabcc5f8403c7b6c9563ad7308777859bb6e",
     }
 
     @pytest.mark.parametrize("q, n", sorted(DIGESTS))
@@ -116,17 +118,51 @@ class TestTableBytes:
 
 
 class TestTableGates:
-    def test_one_padic_elimination_per_lifted_row(self, monkeypatch):
+    def counted(self, monkeypatch, name):
+        """Record every call to cofactors.<name> by its arguments between m and qpt."""
         calls = []
-        padic_row = cofactors._padic_row
+        fn = getattr(cofactors, name)
 
-        def counted(ents, n, qpt):
-            calls.append(n)
-            return padic_row(ents, n, qpt)
+        def counting(*args):
+            calls.append(args[1:-1])
+            return fn(*args)
 
-        monkeypatch.setattr(cofactors, "_padic_row", counted)
+        monkeypatch.setattr(cofactors, name, counting)
+        return calls
+
+    def test_one_schur_solve_per_lifted_row(self, monkeypatch):
+        solves = self.counted(monkeypatch, "_schur_row")
         build_table(35, qp(2))
-        assert calls == list(range(13, 20))
+        assert solves == [(11, n) for n in range(13, 20)]
+
+    @pytest.mark.parametrize("k", [3, 5, 29])
+    def test_one_prefix_extension_per_block(self, monkeypatch, k):
+        extensions = self.counted(monkeypatch, "_extend_prefix")
+        solves = self.counted(monkeypatch, "_schur_row")
+        build_table(60, qp(2**k))
+        # blocks 13..19 and 44..50; before each the leading (s - 2)-minor is a unit
+        assert extensions == [(0, 11, 13), (11, 42, 44)]
+        assert solves == [(11, n) for n in range(13, 20)] + [(42, n) for n in range(44, 51)]
+
+    def test_prefix_without_unit_pivot(self):
+        # once column 0 is eliminated, column 1 of rows 1..2 holds p and 3p
+        p = P.p
+        m = [[1, 2, 3], [5, p + 10, 7], [4, 3 * p + 8, 1]]
+        with pytest.raises(WorkbenchError, match=r"row n=4 at q=2: prefix column 1 has no unit"):
+            cofactors._extend_prefix(m, 0, 3, 4, qp(2))
+
+    @pytest.mark.parametrize("entry, first", [((0, 11), 13), ((5, 11), 13), ((0, 12), 14)])
+    def test_corrupt_prefix_fails_orthogonality(self, monkeypatch, entry, first):
+        extend = cofactors._extend_prefix
+
+        def corrupted(m, lo, hi, n, qpt):
+            extend(m, lo, hi, n, qpt)
+            m[entry[0]][entry[1]] += 1
+
+        monkeypatch.setattr(cofactors, "_extend_prefix", corrupted)
+        with pytest.raises(SingularMatrix) as info:
+            build_table(35, qp(2))
+        assert info.value.n == first
 
     def test_precision_exhaustion_names_the_row(self, monkeypatch):
         monkeypatch.setattr(cofactors, "PADIC_PRECISION", 2)

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from qtspp import verify
 from qtspp.cofactors import build_table
-from qtspp.fieldcore import IntegerPoly, PrimeModulus
+from qtspp.fieldcore import IntegerPoly, PrimeModulus, SingularMatrix
 from qtspp.guessing import SymbolicRecurrence
 from qtspp.okada import QPoint, nice_ratio, okada_entry, qtspp_orbit_product
 from qtspp.verify import (
@@ -206,6 +207,12 @@ class TestConstantTermRoute:
                 frac = rows[n - 1][j - 1]
                 want = frac.numerator * pow(frac.denominator, -1, P.p) % P.p
                 assert t.value(n, j) == want
+
+    def test_exact_rows_refuse_a_vanishing_minor(self, monkeypatch):
+        entry = verify.okada_entry_q1
+        monkeypatch.setattr(verify, "okada_entry_q1", lambda i, j: 0 if i == j == 1 else entry(i, j))
+        with pytest.raises(SingularMatrix, match="row n=2: the leading 1-minor vanishes"):
+            cofactor_rows_q1_exact(6)
 
     def test_exact_small(self):
         rep = ct_check_q1(12)
