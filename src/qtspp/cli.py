@@ -252,7 +252,7 @@ def cmd_verify(config: PipelineConfig, which: str, q_int: int = 2,
             for q in qs:
                 report.checks += 1
                 lhs = poly.eval_mod(q % modulus.p, modulus.p)
-                rhs = int(qtspp_orbit_product(n, QPoint(q, modulus)))
+                rhs = qtspp_orbit_product(n, QPoint(q, modulus))
                 if lhs != rhs:
                     report.record_failure(n=n, q=q, brute=lhs, product=rhs)
             report.details[f"count_n{n}"] = poly(1)

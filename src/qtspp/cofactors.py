@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .fieldcore import (
-    FieldElement,
     InvalidInput,
     PrimeModulus,
     SingularMatrix,
@@ -296,7 +295,7 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     identity raises SingularMatrix carrying the offending n.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidInput("n_max must be >= 1")
     p = qpt.modulus.p
     a = okada_slice(n_max, qpt)
     rows = leading_kernels_mod(a, p)
@@ -323,14 +322,14 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
 # ---------------------------------------------------------------------------
 
 
-def det_direct(n: int, qpt: QPoint) -> FieldElement:
+def det_direct(n: int, qpt: QPoint) -> int:
     """Determinant of the full n x n entry matrix by elimination."""
     if n < 1:
         raise ValueError("n must be positive")
-    return FieldElement(det_mod(okada_slice(n, qpt), qpt.modulus.p), qpt.modulus)
+    return det_mod(okada_slice(n, qpt), qpt.modulus.p)
 
 
-def det_certified(n: int, table: CofactorTable) -> FieldElement:
+def det_certified(n: int, table: CofactorTable) -> int:
     """Telescoped determinant: product over m <= n of the certificate sums."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -343,10 +342,10 @@ def det_certified(n: int, table: CofactorTable) -> FieldElement:
     for m in range(1, n + 1):
         s = int((a[m - 1, :m] * table._rows[m - 1] % p).sum() % p)
         acc = acc * s % p
-    return FieldElement(acc, qpt.modulus)
+    return acc
 
 
-def cofactor_by_minors(n: int, j: int, qpt: QPoint) -> FieldElement:
+def cofactor_by_minors(n: int, j: int, qpt: QPoint) -> int:
     """Signed minor over leading determinant, the defining cofactor ratio.
 
     Oracle-scale only (n <= 10): deletes row n and column j, eliminates,
@@ -366,4 +365,4 @@ def cofactor_by_minors(n: int, j: int, qpt: QPoint) -> FieldElement:
     v = det_mod(minor, p) if n > 1 else 1
     if (n + j) % 2 == 1:
         v = (p - v) % p
-    return FieldElement(v * _inv_mod(det_lead, p) % p, qpt.modulus)
+    return v * _inv_mod(det_lead, p) % p

@@ -3,15 +3,14 @@
 The modulus, dense linear algebra on int64 residue arrays (the nested
 leading kernels of one matrix, the kernel vector of an (n-1) x n system,
 nullspace and determinant, each one Gaussian elimination taking an
-explicit p), univariate polynomials with
-interpolation, and the two reconstruction algorithms that lift modular
-images back to symbolic objects: rational functions over GF(p) (Cauchy
-interpolation via the extended Euclidean algorithm, with no degree bounds:
-the candidate is the one before the quotient of maximal degree, returned
-as a numerator / monic denominator pair) and rational numbers from a
-single residue.  FieldElement is only
-the read-only result type of the public scalar functions; arithmetic runs
-on plain ints.
+explicit p), interpolation, and the two reconstruction algorithms that
+lift modular images back to symbolic objects: rational functions over
+GF(p) (Cauchy interpolation via the extended Euclidean algorithm, with no
+degree bounds: the candidate is the one before the quotient of maximal
+degree, returned as a numerator / monic denominator pair) and rational
+numbers from a single residue.  Everything runs on plain ints and int64
+arrays with an explicit p; a polynomial over GF(p) is a list of residues,
+lowest degree first, and IntegerPoly holds the lifted integer result.
 
 The modulus is kept small enough that a product of two residues never
 overflows a signed 64-bit word, so elimination needs only elementwise
@@ -23,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -138,35 +138,6 @@ class PrimeModulus:
                 else:
                     break
         return order
-
-
-class FieldElement:
-    """A read-only residue in GF(p), the result type of the scalar functions."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: PrimeModulus):
-        self.value = value % modulus.p
-        self.modulus = modulus
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.modulus.p == other.modulus.p
-        if isinstance(other, (int, np.integer)):
-            return self.value == int(other) % self.modulus.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus.p))
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.modulus.p})"
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
 
 
 def _inv_mod(v: int, p: int) -> int:
@@ -320,131 +291,69 @@ def det_mod(a: np.ndarray, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials over GF(p)
+# Univariate polynomials over GF(p): coefficient lists, lowest degree first
 # ---------------------------------------------------------------------------
+#
+# Residues are reduced mod p and the highest coefficient is nonzero, so the
+# zero polynomial is [] and len(c) - 1 is the degree (-1 for zero).
 
 
-class PolyOverField:
-    """Dense univariate polynomial over GF(p), coefficients lowest first.
+def _trim(c: list[int]) -> list[int]:
+    """Drop zero high coefficients in place; returns c."""
+    while c and c[-1] == 0:
+        c.pop()
+    return c
 
-    The zero polynomial has an empty coefficient list; otherwise the trailing
-    (highest-degree) coefficient is nonzero.
+
+def _poly_eval(c: Sequence[int], x: int, p: int) -> int:
+    acc = 0
+    for v in reversed(c):
+        acc = (acc * x + v) % p
+    return acc
+
+
+def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return [v % p for v in out]
+
+
+def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    rem = list(a)
+    dlen = len(b)
+    if len(rem) < dlen:
+        return [], rem
+    inv_lead = _inv_mod(b[-1], p)
+    quot = [0] * (len(rem) - dlen + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + dlen - 1] * inv_lead % p
+        if c:
+            quot[k] = c
+            for i, bc in enumerate(b):
+                rem[k + i] = (rem[k + i] - c * bc) % p
+    return quot, _trim(rem[: dlen - 1])
+
+
+def _newton_expand(xs: Sequence[int], cs: Sequence[int], p: int) -> list[int]:
+    """sum of cs[i] * (X - xs[0]) ... (X - xs[i-1]) in the monomial basis.
+
+    Horner's rule in the Newton basis, one multiplication by (X - x) per
+    node.  cs has len(xs) entries (an interpolant's divided differences) or
+    len(xs) + 1, where [0, ..., 0, 1] gives the node product prod (X - xi).
     """
-
-    __slots__ = ("coeffs", "modulus")
-
-    def __init__(self, coeffs: Iterable[int], modulus: PrimeModulus):
-        p = modulus.p
-        c = [int(x) % p for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = c
-        self.modulus = modulus
-
-    @classmethod
-    def zero(cls, modulus: PrimeModulus) -> "PolyOverField":
-        return cls([], modulus)
-
-    @classmethod
-    def constant(cls, v: int, modulus: PrimeModulus) -> "PolyOverField":
-        return cls([v], modulus)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def __add__(self, other: "PolyOverField") -> "PolyOverField":
-        p = self.modulus.p
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] = c
-        for i, c in enumerate(other.coeffs):
-            out[i] = (out[i] + c) % p
-        return PolyOverField(out, self.modulus)
-
-    def __sub__(self, other: "PolyOverField") -> "PolyOverField":
-        p = self.modulus.p
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] = c
-        for i, c in enumerate(other.coeffs):
-            out[i] = (out[i] - c) % p
-        return PolyOverField(out, self.modulus)
-
-    def __mul__(self, other: "PolyOverField") -> "PolyOverField":
-        if self.is_zero() or other.is_zero():
-            return PolyOverField.zero(self.modulus)
-        p = self.modulus.p
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + ci * cj) % p
-        return PolyOverField(out, self.modulus)
-
-    def scale(self, s: int) -> "PolyOverField":
-        p = self.modulus.p
-        s %= p
-        return PolyOverField([c * s % p for c in self.coeffs], self.modulus)
-
-    def monic(self) -> "PolyOverField":
-        if self.is_zero():
-            return self
-        return self.scale(_inv_mod(self.leading_coefficient(), self.modulus.p))
-
-    def divmod(self, other: "PolyOverField") -> tuple["PolyOverField", "PolyOverField"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.modulus.p
-        rem = list(self.coeffs)
-        dlen = len(other.coeffs)
-        if len(rem) < dlen:
-            return PolyOverField.zero(self.modulus), PolyOverField(rem, self.modulus)
-        inv_lead = _inv_mod(other.coeffs[-1], p)
-        quot = [0] * (len(rem) - dlen + 1)
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + dlen - 1] * inv_lead % p
-            if c:
-                quot[k] = c
-                for i, oc in enumerate(other.coeffs):
-                    rem[k + i] = (rem[k + i] - c * oc) % p
-        return PolyOverField(quot, self.modulus), PolyOverField(rem, self.modulus)
-
-    def __mod__(self, other: "PolyOverField") -> "PolyOverField":
-        return self.divmod(other)[1]
-
-    def gcd(self, other: "PolyOverField") -> "PolyOverField":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def __call__(self, x: int) -> int:
-        p = self.modulus.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyOverField)
-            and self.modulus.p == other.modulus.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"PolyOverField({self.coeffs} mod {self.modulus.p})"
+    out = [cs[-1]]
+    for i in range(len(cs) - 2, -1, -1):
+        x = xs[i]
+        out.append(out[-1])
+        for k in range(len(out) - 2, 0, -1):
+            out[k] = (out[k - 1] - x * out[k]) % p
+        out[0] = (cs[i] - x * out[0]) % p
+    return _trim(out)
 
 
 class IntegerPoly:
@@ -453,10 +362,7 @@ class IntegerPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        c = [int(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = c
+        self.coeffs = _trim([int(x) for x in coeffs])
 
     @property
     def degree(self) -> int:
@@ -479,10 +385,7 @@ class IntegerPoly:
         return acc
 
     def eval_mod(self, x: int, p: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
+        return _poly_eval(self.coeffs, x, p)
 
     def __eq__(self, other):
         return isinstance(other, IntegerPoly) and self.coeffs == other.coeffs
@@ -496,53 +399,31 @@ class IntegerPoly:
 # ---------------------------------------------------------------------------
 
 
-def interpolate_poly(
-    points: Sequence[tuple[int, int]], modulus: PrimeModulus
-) -> PolyOverField:
+def interpolate_poly(points: Sequence[tuple[int, int]], p: int) -> list[int]:
     """Unique polynomial of degree < len(points) through the given points.
 
     Newton's divided differences over GF(p); x coordinates must be distinct.
+    Returns the coefficient list, lowest degree first ([] for zero).
     """
-    p = modulus.p
     xs = [int(x) % p for x, _ in points]
     ys = [int(y) % p for _, y in points]
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("interpolation points share an x coordinate")
     n = len(xs)
     if n == 0:
-        return PolyOverField.zero(modulus)
-    # divided-difference coefficients
+        return []
     dd = list(ys)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
             num = (dd[i] - dd[i - 1]) % p
             den = (xs[i] - xs[i - level]) % p
             dd[i] = num * _inv_mod(den, p) % p
-    # expand the Newton form to the monomial basis
-    poly = PolyOverField.zero(modulus)
-    for i in range(n - 1, -1, -1):
-        poly = poly * PolyOverField([-xs[i], 1], modulus) + PolyOverField.constant(dd[i], modulus)
-    return poly
-
-
-def _radix_product(xs: Sequence[int], modulus: PrimeModulus) -> PolyOverField:
-    """prod (x - xi), built by pairwise merging."""
-    polys = [PolyOverField([-x, 1], modulus) for x in xs]
-    if not polys:
-        return PolyOverField.constant(1, modulus)
-    while len(polys) > 1:
-        merged = []
-        for i in range(0, len(polys) - 1, 2):
-            merged.append(polys[i] * polys[i + 1])
-        if len(polys) % 2:
-            merged.append(polys[-1])
-        polys = merged
-    return polys[0]
+    return _newton_expand(xs, dd, p)
 
 
 def reconstruct_rational_function(
-    points: Sequence[tuple[int, int]], modulus: PrimeModulus
-) -> tuple[PolyOverField, PolyOverField]:
+    points: Sequence[tuple[int, int]], p: int
+) -> tuple[list[int], list[int]]:
     """Fit n(x)/d(x) through the samples, with no degree bounds.
 
     Cauchy interpolation with maximal-quotient selection (Monagan, ISSAC
@@ -556,55 +437,56 @@ def reconstruct_rational_function(
     2 (no surplus sample) or when the largest degree is not unique.  A
     candidate whose denominator vanishes at a sample raises PoleAtSample,
     which names that sample.  Returns the coprime pair
-    (numerator, monic denominator).
+    (numerator, monic denominator) as coefficient lists.
     """
-    p = modulus.p
     xs = [int(x) % p for x, _ in points]
     ys = [int(y) % p for _, y in points]
-    g = interpolate_poly(list(zip(xs, ys)), modulus)
+    r1 = interpolate_poly(list(zip(xs, ys)), p)
 
-    r0_degree, r1 = len(xs), g
-    t0 = PolyOverField.zero(modulus)
-    t1 = PolyOverField.constant(1, modulus)
+    r0_degree = len(xs)
+    t0, t1 = [], [1]
     r0 = None  # prod(x - xi), built only if a Euclidean step is needed
     best, best_degree, tied = None, 1, False
     while True:
-        q_degree = r0_degree - r1.degree
+        q_degree = r0_degree - (len(r1) - 1)
         if q_degree > best_degree:
             best, best_degree, tied = (r1, t1), q_degree, False
         elif q_degree == best_degree:
             tied = True
         # the quotients still to come have degrees summing to at most deg r1
-        if best_degree > r1.degree:
+        if best_degree > len(r1) - 1:
             break
         if r0 is None:
-            r0 = _radix_product(xs, modulus)
-        q, r = r0.divmod(r1)
+            r0 = _newton_expand(xs, [0] * len(xs) + [1], p)
+        q, r = _poly_divmod(r0, r1, p)
         r0, r1 = r1, r
-        r0_degree = r0.degree
-        t0, t1 = t1, t0 - q * t1
+        r0_degree = len(r0) - 1
+        qt = _poly_mul(q, t1, p)
+        t0, t1 = t1, _trim([(a - b) % p for a, b in zip_longest(t0, qt, fillvalue=0)])
 
     if best is None:
         raise NoFit(f"no surplus sample among {len(xs)}")
     if tied:
         raise NoFit(f"two candidates leave {best_degree - 1} surplus samples each")
     num, den = best
-    g = num.gcd(den)
-    if g.degree > 0:
+    g, h = num, den
+    while h:
+        g, h = h, _poly_divmod(g, h, p)[1]
+    if len(g) > 1:
         # a common factor vanishing at a sample means the fitted function
         # has a pole there
         for x in xs:
-            if g(x) == 0:
+            if _poly_eval(g, x, p) == 0:
                 raise PoleAtSample(x)
         raise NoFit("numerator and denominator are not coprime")
-    inv_lead = _inv_mod(den.leading_coefficient(), p)
-    num = num.scale(inv_lead)
-    den = den.scale(inv_lead)
+    inv_lead = _inv_mod(den[-1], p)
+    num = [c * inv_lead % p for c in num]
+    den = [c * inv_lead % p for c in den]
     for x, y in zip(xs, ys):
-        dv = den(x)
+        dv = _poly_eval(den, x, p)
         if dv == 0:
             raise PoleAtSample(x)
-        if num(x) != y * dv % p:
+        if _poly_eval(num, x, p) != y * dv % p:
             raise NoFit(f"verification failed at sample x={x}")
     return num, den
 

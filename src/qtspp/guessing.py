@@ -35,10 +35,11 @@ from .fieldcore import (
     NoFit,
     PoleAtSample,
     NoReconstruction,
-    PolyOverField,
     PrimeModulus,
     SingularMatrix,
     WorkbenchError,
+    _poly_eval,
+    _poly_mul,
     last_kernel_mod,
     matvec_mod,
     nullspace_mod,
@@ -412,7 +413,7 @@ def sweep(
     min_points.
     """
     if q_from < 2:
-        raise ValueError("sweeps start at q >= 2")
+        raise InvalidInput("sweeps start at q >= 2")
     if q_to < q_from:
         return []
     if pivot_term is None:
@@ -488,7 +489,7 @@ def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrenc
     for r in recs:
         if r.support != support or r.prime != p or r.pivot_term != pivot:
             raise ValueError("sweep results disagree on support, prime, or pivot")
-    modulus = PrimeModulus(p)
+    PrimeModulus(p)  # refuses a p that is not a word-sized prime
     q_points = [r.q_int for r in recs]
     xs = [r.q_int % p for r in recs]
     if len(set(xs)) != len(xs):
@@ -496,11 +497,11 @@ def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrenc
     samples_by_term = np.stack([r.coefficients for r in recs], axis=1)
 
     d_at = [1] * len(xs)  # the common denominator D at every sample
-    fitted: list[tuple[PolyOverField, PolyOverField]] = []
+    fitted: list[tuple[list[int], list[int]]] = []
     for k, term in enumerate(support.terms):
         points = [(x, int(v) * d % p) for x, v, d in zip(xs, samples_by_term[k], d_at)]
         try:
-            num, den = reconstruct_rational_function(points, modulus)
+            num, den = reconstruct_rational_function(points, p)
         except NoFit as exc:
             raise ReconstructionFailed(
                 f"term {term}: no rational function fits its {len(points)} "
@@ -512,18 +513,18 @@ def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrenc
                 "the fitted denominator vanishes (the sweep never samples a true pole)"
             ) from exc
         fitted.append((num, den))
-        d_at = [d * den(x) % p for d, x in zip(d_at, xs)]
+        d_at = [d * _poly_eval(den, x, p) % p for d, x in zip(d_at, xs)]
 
     cleared: list[list[Fraction]] = []
-    later = PolyOverField.constant(1, modulus)
+    later = [1]
     for term, (num, den) in zip(reversed(support.terms), reversed(fitted)):
         try:
-            cleared.append(_lift_poly_coeffs((num * later).coeffs, p))
+            cleared.append(_lift_poly_coeffs(_poly_mul(num, later, p), p))
         except NoReconstruction as exc:
             raise ReconstructionFailed(
                 f"term {term}: rational lift failed ({exc}); widen the sweep"
             ) from exc
-        later = later * den
+        later = _poly_mul(later, den, p)
     cleared.reverse()
 
     scalar = 1

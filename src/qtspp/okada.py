@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fieldcore import MAX_MODULUS, FieldElement, PrimeModulus, WorkbenchError, _inv_mod
+from .fieldcore import MAX_MODULUS, InvalidInput, PrimeModulus, WorkbenchError, _inv_mod
 
 
 class DegenerateDenominator(WorkbenchError):
@@ -72,12 +72,12 @@ class QPoint:
 
     def __init__(self, q_int: int, modulus: PrimeModulus | None = None):
         if q_int < 1:
-            raise ValueError(f"q must be a positive integer, got {q_int}")
+            raise InvalidInput(f"q must be a positive integer, got {q_int}")
         self.modulus = modulus if modulus is not None else PrimeModulus()
         self.q_int = q_int
         self.reduced = q_int % self.modulus.p
         if self.reduced == 0:
-            raise ValueError(f"q={q_int} reduces to 0 mod {self.modulus.p}")
+            raise InvalidInput(f"q={q_int} reduces to 0 mod {self.modulus.p}")
         self.is_unit = q_int == 1
         self._order: int | None = None
 
@@ -96,7 +96,7 @@ class QPoint:
         return f"QPoint(q={self.q_int} mod {self.modulus.p})"
 
 
-def qbinom(a: int, b: int, qpt: QPoint) -> FieldElement:
+def qbinom(a: int, b: int, qpt: QPoint) -> int:
     """Gaussian binomial [a choose b]_q at the q point; 0 when b < 0 or b > a.
 
     Computed as the value of the Gaussian binomial polynomial (q-Pascal
@@ -106,24 +106,24 @@ def qbinom(a: int, b: int, qpt: QPoint) -> FieldElement:
     if a < 0:
         raise ValueError("upper index must be nonnegative")
     if b < 0 or b > a:
-        return FieldElement(0, qpt.modulus)
+        return 0
     p = qpt.modulus.p
-    return FieldElement(int(_qpascal(_powers(qpt.reduced, p, a + 1), p)[a, b]), qpt.modulus)
+    return int(_qpascal(_powers(qpt.reduced, p, a + 1), p)[a, b])
 
 
-def okada_entry(i: int, j: int, qpt: QPoint) -> FieldElement:
+def okada_entry(i: int, j: int, qpt: QPoint) -> int:
     """Matrix entry a(i, j) of the determinant under certification."""
     if i < 1 or j < 1:
         raise ValueError("indices are 1-based")
     p = qpt.modulus.p
     q = qpt.reduced
-    v = (int(qbinom(i + j - 2, i - 1, qpt)) + q * int(qbinom(i + j - 1, i, qpt))) % p
+    v = (qbinom(i + j - 2, i - 1, qpt) + q * qbinom(i + j - 1, i, qpt)) % p
     v = v * pow(q, i + j - 1, p) % p
     if i == j:
         v = (v + 1 + pow(q, i, p)) % p
     if i == j + 1:
         v = (v - 1) % p
-    return FieldElement(v, qpt.modulus)
+    return v
 
 
 def okada_entry_q1(i: int, j: int) -> int:
@@ -192,9 +192,7 @@ def _orbit_factor_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(num), np.cumsum(den)
 
 
-def _product_of_factors(
-    num_counts: np.ndarray, den_counts: np.ndarray, qpt: QPoint
-) -> FieldElement:
+def _product_of_factors(num_counts: np.ndarray, den_counts: np.ndarray, qpt: QPoint) -> int:
     """prod f(m)**num[m] / prod f(m)**den[m] over equal-length count arrays.
 
     The factor is f(m) = 1 - q**m, or the integer m at q = 1.
@@ -214,15 +212,15 @@ def _product_of_factors(
                 raise DegenerateDenominator(
                     f"1 - q**{m} = 0 mod p at q={qpt.q_int} (order {qpt.order})"
                 )
-            return FieldElement(0, qpt.modulus)
+            return 0
         if nc:
             numerator = numerator * pow(base, nc, p) % p
         if dc:
             denominator = denominator * pow(base, dc, p) % p
-    return FieldElement(numerator * _inv_mod(denominator, p) % p, qpt.modulus)
+    return numerator * _inv_mod(denominator, p) % p
 
 
-def qtspp_orbit_product(n: int, qpt: QPoint) -> FieldElement:
+def qtspp_orbit_product(n: int, qpt: QPoint) -> int:
     """Orbit-counting generating function of TSPPs in the n-cube, at q.
 
     The triple product over 1 <= i <= j <= k <= n of
@@ -258,7 +256,7 @@ def _nice_ratio_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
     return num, den
 
 
-def nice_ratio(n: int, qpt: QPoint) -> FieldElement:
+def nice_ratio(n: int, qpt: QPoint) -> int:
     """Squared outer-layer ratio: the k = n slice of the conjectured product.
 
     Equals prod over 1 <= i <= j <= n of

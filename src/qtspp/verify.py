@@ -27,7 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .cofactors import CofactorTable, build_table
-from .fieldcore import IntegerPoly, PrimeModulus, SingularMatrix, WorkbenchError, matvec_mod
+from .fieldcore import (
+    IntegerPoly,
+    InvalidInput,
+    PrimeModulus,
+    SingularMatrix,
+    WorkbenchError,
+    matvec_mod,
+)
 from .guessing import (
     ModularRecurrence,
     SymbolicRecurrence,
@@ -173,7 +180,7 @@ def check_okada(tables, L: int | None = None) -> VerificationReport:
         a = okada_slice(L, qpt)
         for n in range(1, L + 1):
             lhs = int((a[n - 1, :n] * table.row(n) % p).sum() % p)
-            rhs = int(nice_ratio(n, qpt))
+            rhs = nice_ratio(n, qpt)
             report.checks += 1
             if lhs != rhs:
                 report.record_failure(q=table.q_int, n=n, lhs=lhs, rhs=rhs)
@@ -222,46 +229,25 @@ def check_extended(
 # ---------------------------------------------------------------------------
 
 
-def _series_inverse(u: list[Fraction], order: int) -> list[Fraction]:
-    """Multiplicative inverse of a power series, truncated to `order` terms."""
-    if not u or u[0] == 0:
-        raise ZeroDivisionError("series has no inverse")
-    inv0 = 1 / u[0]
-    out = [Fraction(0)] * order
-    out[0] = inv0
-    for m in range(1, order):
-        acc = Fraction(0)
-        for k in range(1, min(m, len(u) - 1) + 1):
-            acc += u[k] * out[m - k]
-        out[m] = -acc * inv0
-    return out
-
-
 def _series_mul_coeff(a, b, n: int):
     """Coefficient of x**n in a*b, where a is truncated and b is complete."""
     if n >= len(a):
         raise SeriesTruncationTooShort(f"series order {len(a)} cannot reach x**{n}")
-    acc = Fraction(0)
-    for k in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
-        acc += a[k] * b[n - k]
-    return acc
+    return sum(a[k] * b[n - k] for k in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1))
 
 
-def _ct_kernel_series(i: int, order: int) -> list[Fraction]:
+def _ct_kernel_series(i: int, order: int) -> list[int]:
     """Truncated series of x(2-x)/(1-x)**(i+1) + 2x**i - x**(i-1).
 
-    Computed by honest series arithmetic: invert (1-x)**(i+1), multiply by
-    2x - x**2, then add the two monomial corrections.  The constant term of
-    (1-x)**(i+1) is 1, so every coefficient is an integer.
+    1/(1-x)**(i+1) has the coefficients C(m+i, i), so the coefficient of
+    x**m is 2 C(m-1+i, i) - C(m-2+i, i), plus the two monomial corrections;
+    every coefficient is an integer.
     """
     if order <= i:
         raise SeriesTruncationTooShort(f"order {order} too short for shift i={i}")
-    # (1-x)**(i+1) as a truncated series
-    base = [Fraction((-1) ** k * math.comb(i + 1, k)) for k in range(min(i + 2, order))]
-    inv = _series_inverse(base, order)
-    g = [Fraction(0)] * order
+    g = [0] * order
     for m in range(1, order):
-        g[m] = inv[m - 1] * 2 - (inv[m - 2] if m >= 2 else 0)
+        g[m] = 2 * math.comb(m - 1 + i, i) - (math.comb(m - 2 + i, i) if m >= 2 else 0)
     g[i] += 2
     if i >= 1:
         g[i - 1] -= 1
@@ -308,7 +294,7 @@ def ct_check_q1(
     the direct identity checks.
     """
     if n_max_ct < 2:
-        raise ValueError("need n_max_ct >= 2")
+        raise InvalidInput("need n_max_ct >= 2")
     t0 = time.perf_counter()
     if table is None:
         mode = "exact-rational"
@@ -333,10 +319,10 @@ def ct_check_q1(
 
         def reduce(value):
             # the kernel series is integral, so the coefficient is an integer
-            return int(value) % p
+            return value % p
 
         def expected_ratio(n):
-            return int(nice_ratio(n, qpt))
+            return nice_ratio(n, qpt)
 
     report = VerificationReport("ct-q1", n_max_ct, [1], details={"mode": mode})
     for n in range(1, n_max_ct + 1):

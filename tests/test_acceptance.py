@@ -39,8 +39,8 @@ class TestAcceptance:
         for q in qs:
             qpt = QPoint(q, P)
             for n in range(1, 26):
-                lhs = det_direct(n, qpt).value
-                rhs = qtspp_orbit_product(n, qpt).value
+                lhs = det_direct(n, qpt)
+                rhs = qtspp_orbit_product(n, qpt)
                 if lhs != rhs * rhs % P.p:
                     ok = False
         report(1, ok, f"det == product^2 exactly for n <= 25 at {len(qs)} q points")
@@ -148,7 +148,7 @@ class TestAcceptance:
             for q in qs:
                 if poly.eval_mod(q % P.p, P.p) != qtspp_orbit_product(
                     n, QPoint(q, P)
-                ).value:
+                ):
                     ok = False
         ok = ok and counts == [2, 5, 16, 66]
         report(

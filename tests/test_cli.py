@@ -332,6 +332,20 @@ class TestBadInput:
         err = self.verify_extended(tmp_path, capsys, gone)
         assert f"cannot read recurrence file {gone}" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cofactors", "--q", "-3"], "q must be a positive integer, got -3"),
+            (["verify", "extended", "--q", "-5", "--in", str(FIXTURE)], "q must be a positive integer, got -5"),
+            (["verify", "soichi", "--L", "0"], "n_max must be >= 1"),
+            (["verify", "ct", "--L", "1"], "need n_max_ct >= 2"),
+            (["reconstruct", "--q-from", "1"], "sweeps start at q >= 2"),
+        ],
+        ids=["cofactors-q", "extended-q", "soichi-L", "ct-L", "reconstruct-q-from"],
+    )
+    def test_out_of_range_argument(self, tmp_path, capsys, argv, message):
+        assert message in self.run(capsys, *argv, "--out", str(tmp_path))
+
 
 class TestPipelineQ1:
     def test_q1_pipeline(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ from qtspp.cofactors import (
 )
 from qtspp.fieldcore import PrimeModulus, SingularMatrix, WorkbenchError
 from qtspp.guessing import AnsatzSupport, sweep
-from qtspp.okada import QPoint, okada_entry, qtspp_orbit_product
+from qtspp.okada import QPoint, nice_ratio, okada_entry, qbinom, qtspp_orbit_product
 from qtspp.verify import check_soichi
 
 P = PrimeModulus()
@@ -36,7 +36,7 @@ class TestCofactorRow:
         for q in GOOD_Q:
             qpt = qp(q)
             row = build_table(2, qpt).row(2)
-            a11, a12 = okada_entry(1, 1, qpt).value, okada_entry(1, 2, qpt).value
+            a11, a12 = okada_entry(1, 1, qpt), okada_entry(1, 2, qpt)
             want = -a12 * pow(a11, -1, P.p) % P.p
             assert row.tolist() == [want, 1]
 
@@ -192,17 +192,34 @@ class TestTableGates:
 
 
 class TestDeterminantOracles:
+    def test_scalar_results_are_plain_ints(self):
+        # every public scalar function returns a residue in [0, p) as a plain int
+        for q in (1, 3):
+            qpt = qp(q)
+            results = [
+                qbinom(5, 2, qpt),
+                qbinom(5, 7, qpt),
+                okada_entry(3, 2, qpt),
+                qtspp_orbit_product(4, qpt),
+                nice_ratio(4, qpt),
+                det_direct(4, qpt),
+                det_certified(4, build_table(4, qpt)),
+                cofactor_by_minors(4, 2, qpt),
+            ]
+            for v in results:
+                assert type(v) is int and 0 <= v < P.p
+
     def test_det_direct_matches_entry_at_n1(self):
         for q in GOOD_Q:
             assert det_direct(1, qp(q)) == okada_entry(1, 1, qp(q))
 
     def test_det_direct_n2_unit(self):
         # det [[4, 3], [1, 7]] = 25
-        assert det_direct(2, qp(1)).value == 25
+        assert det_direct(2, qp(1)) == 25
 
     def test_det_certified_n2_unit(self):
         t = build_table(2, qp(1))
-        assert det_certified(2, t).value == 25
+        assert det_certified(2, t) == 25
 
     def test_certified_equals_direct(self):
         for q in GOOD_Q[:3]:
@@ -216,17 +233,17 @@ class TestDeterminantOracles:
         for q in GOOD_Q:
             qpt = qp(q)
             for n in range(1, 11):
-                sq = qtspp_orbit_product(n, qpt).value
-                assert det_direct(n, qpt).value == sq * sq % P.p
+                sq = qtspp_orbit_product(n, qpt)
+                assert det_direct(n, qpt) == sq * sq % P.p
 
 
 class TestMinorsOracle:
     def test_trivial(self):
-        assert cofactor_by_minors(1, 1, qp(9)).value == 1
+        assert cofactor_by_minors(1, 1, qp(9)) == 1
 
     def test_n2_unit(self):
         got = cofactor_by_minors(2, 1, qp(1))
-        assert got.value == (-3 * pow(4, -1, P.p)) % P.p
+        assert got == (-3 * pow(4, -1, P.p)) % P.p
 
     def test_matches_row_solve(self):
         for q in GOOD_Q:

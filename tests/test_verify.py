@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -76,7 +77,7 @@ class TestBruteForce:
         for n in range(1, 5):
             poly = brute_force_qtspp(n)
             for q in qs:
-                want = qtspp_orbit_product(n, qp(q)).value
+                want = qtspp_orbit_product(n, qp(q))
                 assert poly.eval_mod(q % P.p, P.p) == want
 
 
@@ -248,6 +249,25 @@ class TestConstantTermRoute:
     def test_truncation_guard(self):
         with pytest.raises(SeriesTruncationTooShort):
             _ct_kernel_series(5, 3)
+
+    #: sha256 of to_json() at n = 30, pinned from the series-division kernel
+    REPORT_DIGESTS = {
+        "exact": "39e37c062752434fd2076300b9a6bd4f44641e24f4478ad21cb0042a33406e2b",
+        "modular": "96676b99a0ee4ad32ce2eec6c7e87713b8509221589cc658f3c98bad014f769d",
+        "fault": "b65c2acde5418b8482458b46a7c62619a1e3324a2c9da0baff34092baf1e215f",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REPORT_DIGESTS))
+    def test_report_bytes(self, kind):
+        t = build_table(30, qp(1))
+        table = {
+            "exact": None,
+            "modular": t,
+            # entry (17, 5) + 1: the failure records carry their values
+            "fault": t.with_value(17, 5, (t.value(17, 5) + 1) % P.p),
+        }[kind]
+        text = ct_check_q1(30, table=table).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_DIGESTS[kind]
 
 
 class TestReportSerialization:
