@@ -73,6 +73,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.n_max <= self.gamma_max:
             raise InvalidInput("n_max must exceed gamma_max")
+        if self.q_from < 2:
+            raise InvalidInput("sweeps start at q >= 2")
         if self.q_to < self.q_from:
             raise InvalidInput("sweep range is empty")
         if self.workers < 1:
@@ -90,13 +92,8 @@ class PipelineConfig:
 
 
 def _check_q_usable(q_int: int, modulus: PrimeModulus) -> None:
-    if q_int == 1:
-        return
-    r = q_int % modulus.p
-    if r == 0:
-        raise WorkbenchError(f"q={q_int} is 0 mod p={modulus.p}")
-    order = modulus.multiplicative_order(r)
-    if order < MIN_Q_ORDER:
+    order = QPoint(q_int, modulus).order
+    if q_int != 1 and order < MIN_Q_ORDER:
         raise WorkbenchError(
             f"q={q_int} has multiplicative order {order} mod {modulus.p}; "
             f"the entry matrix degenerates at such points, pick another q"

@@ -1,9 +1,9 @@
 """Exact arithmetic over a word-sized prime field GF(p).
 
-The modulus, dense linear algebra on int64 residue arrays (the nested
-leading kernels of one matrix, the kernel vector of an (n-1) x n system,
-nullspace and determinant, each one Gaussian elimination taking an
-explicit p), interpolation, and the two reconstruction algorithms that
+The modulus, dense linear algebra on int64 residue arrays taking an
+explicit p (the nested leading kernels of one matrix from an [a.T | I]
+elimination; nullspace, rank and determinant from one row echelon
+form), interpolation, and the two reconstruction algorithms that
 lift modular images back to symbolic objects: rational functions over
 GF(p) (Cauchy interpolation via the extended Euclidean algorithm, with no
 degree bounds: the candidate is the one before the quotient of maximal
@@ -191,103 +191,65 @@ def leading_kernels_mod(a: np.ndarray, p: int) -> dict[int, np.ndarray]:
     return out
 
 
-def last_kernel_mod(a: np.ndarray, p: int) -> np.ndarray | None:
-    """The x with x[-1] = 1 and a @ x = 0 for an (n-1) x n matrix a over GF(p).
+def _echelon_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
+    """Row echelon form of a over GF(p): (u, pivot columns, det).
 
-    Returns None when the square block a[:, :-1] is singular, the one case
-    in which no such x is unique.  Forward elimination with row swaps works
-    only on the rows below and the columns right of each pivot, so its
-    working set shrinks every step; back substitution reduces products
-    before summing them.
+    Forward elimination with row swaps: each pivot is the first nonzero
+    entry at or below the next pivot row, in the first column that has one,
+    scaled to 1.  Only the rows below and the columns right of a pivot are
+    updated, so the working set shrinks every step.  det is the product of
+    the pivots, its sign set by the row swaps; it is a's determinant when a
+    is square and every column pivots.
     """
-    rows, cols = a.shape
-    if cols != rows + 1:
-        raise ValueError(f"expected an (n-1) x n matrix, got {rows} x {cols}")
-    m = a % p
-    for k in range(rows):
-        nz = np.nonzero(m[k:, k])[0]
-        if nz.size == 0:
-            return None
-        r = k + int(nz[0])
-        if r != k:
-            m[[k, r], k:] = m[[r, k], k:]
-        m[k, k:] = m[k, k:] * _inv_mod(int(m[k, k]), p) % p
-        below = m[k + 1 :, k:]
-        below -= np.outer(below[:, 0], m[k, k:])
-        below %= p
-    x = np.zeros(cols, dtype=np.int64)
-    x[rows] = 1
-    for k in range(rows - 1, -1, -1):
-        x[k] = -int((m[k, k + 1 :] * x[k + 1 :] % p).sum()) % p
-    return x
-
-
-def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (rref, pivot columns)."""
-    m = a % p
-    nrows, ncols = m.shape
+    u = a % p
+    rows, cols = u.shape
     pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
+    det = 1
+    for c in range(cols):
+        k = len(pivots)
+        if k == rows:
             break
-        nz = np.nonzero(m[row:, col])[0]
+        nz = np.nonzero(u[k:, c])[0]
         if nz.size == 0:
             continue
-        r = row + int(nz[0])
-        if r != row:
-            m[[row, r]] = m[[r, row]]
-        inv = _inv_mod(int(m[row, col]), p)
-        m[row] = m[row] * inv % p
-        others = np.nonzero(m[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            m[others] = (m[others] - np.outer(m[others, col], m[row])) % p
-        pivots.append(col)
-        row += 1
-    return m, pivots
+        r = k + int(nz[0])
+        if r != k:
+            u[[k, r], c:] = u[[r, k], c:]
+            det = -det
+        piv = int(u[k, c])
+        det = det * piv % p
+        u[k, c:] = u[k, c:] * _inv_mod(piv, p) % p
+        below = u[k + 1 :, c:]
+        below -= np.outer(below[:, 0], u[k, c:])
+        below %= p
+        pivots.append(c)
+    return u, pivots, det
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel of a over GF(p), one vector per row.
 
     Each basis vector carries a 1 in its own free column and 0 in the free
-    columns of the other basis vectors (reduced echelon normalization).
+    columns of the other basis vectors (reduced echelon normalization), so
+    the basis is unique.  Back substitution solves for every free column at
+    once, reducing products before summing them.
     """
-    m, pivots = rref_mod(a, p)
-    ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for r, c in enumerate(pivots):
-            basis[k, c] = (-int(m[r, f])) % p
+    u, pivots, _ = _echelon_mod(a, p)
+    free = np.delete(np.arange(a.shape[1]), pivots)
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        basis[:, c] = -matvec_mod(basis[:, c + 1 :], u[k, c + 1 :], p) % p
     return basis
 
 
 def det_mod(a: np.ndarray, p: int) -> int:
-    """Determinant over GF(p) by elimination with pivot-sign tracking."""
-    m = a % p
-    n = m.shape[0]
-    if m.shape[1] != n:
+    """Determinant over GF(p): the signed pivot product of one elimination."""
+    if a.shape[0] != a.shape[1]:
         raise ValueError("matrix is not square")
-    det = 1
-    for col in range(n):
-        nz = np.nonzero(m[col:, col])[0]
-        if nz.size == 0:
-            return 0
-        r = col + int(nz[0])
-        if r != col:
-            m[[col, r]] = m[[r, col]]
-            det = p - det
-        piv = int(m[col, col])
-        det = det * piv % p
-        inv = _inv_mod(piv, p)
-        below = np.nonzero(m[col + 1:, col])[0] + col + 1
-        if below.size:
-            factors = m[below, col] * inv % p
-            m[below] = (m[below] - np.outer(factors, m[col])) % p
-    return det
+    _, pivots, det = _echelon_mod(a, p)
+    return det if len(pivots) == a.shape[1] else 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ support by dropping zero coefficients, repeat the computation across a range
 of q points, and reconstruct the coefficients as integer polynomials in q
 via rational function reconstruction over one shared denominator, then
 rational number reconstruction.  The sweep knows each point's answer shape
-(a one dimensional kernel, normalized on the pivot term), so it solves one
-square system per point on equation rows fixed once, certified by the
-residual on every row, and takes the nullspace only as the fallback.  Table
+(a one dimensional kernel, normalized on the pivot term), so it takes the
+nullspace of equation rows fixed once, certified by the residual on every
+row, and the nullspace of the whole system only as the fallback.  Table
 values beyond the triangular domain in j read as zero (zero extension).
 """
 
@@ -38,14 +38,13 @@ from .fieldcore import (
     PrimeModulus,
     SingularMatrix,
     WorkbenchError,
+    _echelon_mod,
     _poly_eval,
     _poly_mul,
-    last_kernel_mod,
     matvec_mod,
     nullspace_mod,
     reconstruct_rational_function,
     reconstruct_rational_number,
-    rref_mod,
 )
 from .okada import MIN_Q_ORDER, QPoint
 
@@ -188,6 +187,22 @@ class SymbolicRecurrence:
 # ---------------------------------------------------------------------------
 
 
+def _term_columns(table: CofactorTable, support: AnsatzSupport):
+    """Each term's column q**(alpha*n + beta*j) * B(n, j + gamma) mod p.
+
+    The entries run over the table positions (n, j), 1 <= j <= n <= n_max,
+    in np.tril_indices order, with B read as 0 outside the triangle.
+    """
+    p = table.modulus.p
+    ns, js = (idx + 1 for idx in np.tril_indices(table.n_max))
+    b = table.padded(extra_cols=support.max_shift_j)
+    at = ns * b.shape[1] + js  # (n, j) as an index into b.ravel()
+    b = b.ravel()
+    pw = table.qpoint().qpow(max((alpha + beta) * table.n_max for alpha, beta, _ in support))
+    for alpha, beta, gamma in support:
+        yield pw[alpha * ns + beta * js] * b[at + gamma] % p
+
+
 def build_equations(table: CofactorTable, support: AnsatzSupport) -> np.ndarray:
     """One equation per table position (n, j); one column per ansatz term.
 
@@ -200,14 +215,9 @@ def build_equations(table: CofactorTable, support: AnsatzSupport) -> np.ndarray:
         raise InsufficientData(
             f"table n_max={table.n_max} must exceed the largest j shift {support.max_shift_j}"
         )
-    p = table.modulus.p
-    qpt = table.qpoint()
-    ns, js = (idx + 1 for idx in np.tril_indices(table.n_max))
-    b = table.padded(extra_cols=support.max_shift_j)
-    pw = qpt.qpow(max((alpha + beta) * table.n_max for alpha, beta, _ in support.terms))
-    cols = np.empty((ns.size, len(support)), dtype=np.int64)
-    for k, (alpha, beta, gamma) in enumerate(support.terms):
-        cols[:, k] = pw[alpha * ns + beta * js] * b[ns, js + gamma] % p
+    cols = np.empty((len(table), len(support)), dtype=np.int64)
+    for k, col in enumerate(_term_columns(table, support)):
+        cols[:, k] = col
     return cols
 
 
@@ -277,27 +287,14 @@ def annihilation_residuals(
     A symbolic recurrence is specialized at the table's q point first.
     """
     p = table.modulus.p
-    qpt = table.qpoint()
     coeffs = _specialized_coefficients(rec, table)
-    nmax = table.n_max
-    b = table.padded(extra_cols=rec.support.max_shift_j)
-    n_idx = np.arange(nmax + 1, dtype=np.int64)
-    pw = qpt.qpow(max((alpha + beta) * nmax for alpha, beta, _ in rec.support.terms))
-    acc = np.zeros((nmax + 1, nmax + 1), dtype=np.int64)
-    for c, (alpha, beta, gamma) in zip(coeffs, rec.support.terms):
-        c = int(c)
-        if c == 0:
-            continue
-        qa = pw[alpha * n_idx] * c % p
-        qb = pw[beta * n_idx]
-        block = b[:, gamma : gamma + nmax + 1]
-        acc = (acc + qa[:, None] * qb[None, :] % p * block) % p
-    # zero out everything outside 1 <= j <= n
-    mask = np.tril(np.ones((nmax + 1, nmax + 1), dtype=bool))
-    mask[:, 0] = False
-    mask[0, :] = False
-    acc[~mask] = 0
-    return acc
+    acc = np.zeros(len(table), dtype=np.int64)
+    for c, col in zip(coeffs, _term_columns(table, rec.support)):
+        acc += col * int(c) % p
+        acc %= p
+    grid = np.zeros((table.n_max + 1, table.n_max + 1), dtype=np.int64)
+    grid[1:, 1:][np.tril_indices(table.n_max)] = acc
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -321,66 +318,52 @@ def _fixed_rows(
 ) -> np.ndarray | None:
     """len(support) - 1 independent equation rows, picked once for a sweep.
 
-    They are the pivot columns of rref(M.T) for the system M at the first q
-    in range whose table builds; None when M's rank is not len(support) - 1.
+    They are the pivot columns of the row echelon form of M.T for the
+    system M at the first q in range whose table builds; None when M's rank
+    is not len(support) - 1.
     """
     for q_int in range(q_from, q_to + 1):
         table, _ = _point_table(q_int, p, n_max)
         if table is None:
             continue
-        _, pivots = rref_mod(build_equations(table, support).T, p)
+        _, pivots, _ = _echelon_mod(build_equations(table, support).T, p)
         return np.array(pivots, dtype=np.intp) if len(pivots) == len(support) - 1 else None
     return None
-
-
-def _square_solve(
-    m: np.ndarray, rows: np.ndarray, k: int, p: int
-) -> tuple[np.ndarray | None, str]:
-    """The kernel vector of m with x[k] = 1, from the fixed rows alone.
-
-    Returns (x, "") when the fixed rows' subsystem is nonsingular and x
-    annihilates every row of m; that makes m's rank at least len(x) - 1, so
-    x spans the kernel.  Otherwise returns (None, the cause).
-    """
-    order = np.r_[0:k, k + 1 : m.shape[1], k]  # the pivot term last
-    y = last_kernel_mod(m[np.ix_(rows, order)], p)
-    if y is None:
-        return None, "fixed rows are singular"
-    x = np.empty_like(y)
-    x[order] = y
-    if matvec_mod(m, x, p).any():
-        return None, "nonzero residual"
-    return x, ""
 
 
 def _sweep_one(args, rows: np.ndarray | None = None):
     """One sweep point: (q, coefficients or None, nullspace dimension, skip reason).
 
-    With fixed rows the point is one square solve (_square_solve); when
-    that is refused the point falls back to the nullspace of the whole
-    system (guess_modular), which also decides every skip.
+    With fixed rows the point takes the nullspace of those rows of the
+    system M alone, and accepts it when it is one vector that is nonzero on
+    the pivot term and annihilates every row of M; that makes M's rank
+    len(support) - 1, so the vector spans M's kernel.  Otherwise, and
+    without fixed rows, the nullspace of the whole of M decides the point.
     """
     q_int, p, n_max, support, pivot_term = args
     table, reason = _point_table(q_int, p, n_max)
     if table is None:
         return q_int, None, 0, reason
     k = support.terms.index(pivot_term)
+    m = build_equations(table, support)
     if rows is not None:
-        coeffs, cause = _square_solve(build_equations(table, support), rows, k, p)
-        if coeffs is not None:
-            return q_int, coeffs, 1, None
+        basis = nullspace_mod(m[rows], p)
+        if basis.shape[0] != 1 or basis[0, k] == 0:
+            cause = "fixed rows are singular"
+        elif matvec_mod(m, basis[0], p).any():
+            cause = "nonzero residual"
+        else:
+            return q_int, basis[0] * pow(int(basis[0, k]), -1, p) % p, 1, None
         log.info("sweep q=%d: %s, falling back to the nullspace", q_int, cause)
-    try:
-        rec = guess_modular(table, support)
-    except NoRecurrence:
+    basis = nullspace_mod(m, p)
+    dim = basis.shape[0]
+    if dim == 0:
         return q_int, None, 0, "trivial nullspace"
-    if rec.nullspace_dim != 1:
-        return q_int, None, rec.nullspace_dim, f"nullspace dimension {rec.nullspace_dim}"
-    piv = int(rec.coefficients[k])
-    if piv == 0:
+    if dim != 1:
+        return q_int, None, dim, f"nullspace dimension {dim}"
+    if basis[0, k] == 0:
         return q_int, None, 1, "pivot coefficient vanishes"
-    coeffs = rec.coefficients * pow(piv, -1, p) % p
-    return q_int, coeffs, 1, None
+    return q_int, basis[0] * pow(int(basis[0, k]), -1, p) % p, 1, None
 
 
 def sweep(
@@ -399,18 +382,18 @@ def sweep(
     default the support's first term), so across q points each coefficient
     is a sample of one rational function of q.  len(support) - 1
     independent equation rows are fixed once, at the first q whose table
-    builds (_fixed_rows); each point then solves that square system with
-    the pivot coefficient set to 1 and accepts the solution only when it
-    annihilates every equation row, which proves the kernel one
-    dimensional.  A singular subsystem or a nonzero residual is logged at
-    INFO and the point falls back to the nullspace of the whole system, as
-    does every point when no rows could be fixed.  Points where the table is
-    singular (or q's multiplicative order is below MIN_Q_ORDER), the
-    nullspace dimension differs from 1, or the pivot coefficient vanishes
-    are logged and skipped.  A table that runs out of p-adic precision
-    (PrecisionExhausted) is a limit of this program, not of the q point, and
-    propagates.  Raises TooFewPoints when a nonempty range keeps fewer than
-    min_points.
+    builds (_fixed_rows); each point then takes the nullspace of those rows
+    alone and accepts it only when it is one vector, nonzero on the pivot
+    term, that annihilates every equation row, which proves the kernel one
+    dimensional.  A refused vector (the fixed rows are singular, or the
+    residual is nonzero) is logged at INFO and the point falls back to the
+    nullspace of the whole system, as does every point when no rows could
+    be fixed.  Points where the table is singular (or q's multiplicative
+    order is below MIN_Q_ORDER), the nullspace dimension differs from 1, or
+    the pivot coefficient vanishes are logged and skipped.  A table that
+    runs out of p-adic precision (PrecisionExhausted) is a limit of this
+    program, not of the q point, and propagates.  Raises TooFewPoints when
+    a nonempty range keeps fewer than min_points.
     """
     if q_from < 2:
         raise InvalidInput("sweeps start at q >= 2")

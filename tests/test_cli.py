@@ -70,6 +70,8 @@ class TestPipelineConfig:
             PipelineConfig(q_from=9, q_to=8)
         with pytest.raises(ValueError):
             PipelineConfig(workers=0)
+        with pytest.raises(ValueError, match="sweeps start at q >= 2"):
+            PipelineConfig(q_from=1)
 
 
 class TestCofactorsCommand:
@@ -331,6 +333,11 @@ class TestBadInput:
         gone = tmp_path / "gone.json"
         err = self.verify_extended(tmp_path, capsys, gone)
         assert f"cannot read recurrence file {gone}" in err
+
+    def test_bad_q_before_the_file(self, tmp_path, capsys):
+        gone = tmp_path / "gone.json"
+        err = self.run(capsys, "verify", "extended", "--q", "-5", "--in", str(gone), "--out", str(tmp_path))
+        assert "q must be a positive integer, got -5" in err and str(gone) not in err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -12,20 +12,19 @@ from qtspp.fieldcore import (
     NoReconstruction,
     PrimeModulus,
     ZeroInverse,
+    _echelon_mod,
     _inv_mod,
     _is_prime,
     _poly_divmod,
     _poly_eval,
     det_mod,
     interpolate_poly,
-    last_kernel_mod,
     leading_kernels_mod,
     matvec_mod,
     nullspace_mod,
     rational_reconstruction_bound,
     reconstruct_rational_function,
     reconstruct_rational_number,
-    rref_mod,
 )
 
 P = PrimeModulus()
@@ -144,6 +143,16 @@ def nonsingular_systems(rng, p, sizes, draw):
                 break
 
 
+def last_kernel(a: np.ndarray, p: int) -> np.ndarray | None:
+    """The sweep's accept rule on nullspace_mod, with the pivot term last.
+
+    The kernel's basis vector when it is exactly one vector and nonzero in
+    the last entry, else None (refused).
+    """
+    basis = nullspace_mod(a, p)
+    return basis[0] if basis.shape[0] == 1 and basis[0, -1] != 0 else None
+
+
 class TestLastKernel:
     @staticmethod
     def uniform(rng, shape):
@@ -152,23 +161,19 @@ class TestLastKernel:
     def test_matches_nullspace(self):
         rng = np.random.default_rng(31)
         for a in nonsingular_systems(rng, P.p, (1, 2, 5, 30, 80), self.uniform):
-            basis = nullspace_mod(a, P.p)
-            assert basis.shape == (1, a.shape[1]) and basis[0, -1] == 1
-            assert last_kernel_mod(a, P.p).tolist() == basis[0].tolist()
+            x = last_kernel(a, P.p)
+            assert x is not None and x.shape == (a.shape[1],) and x[-1] == 1
+            assert not any(matvec_exact(a, x, P.p))
 
     def test_needs_a_row_swap(self):
         # the first pivot sits in the second row
-        x = last_kernel_mod(arr([[0, 1, 2], [1, 0, 3]]), P.p)
+        x = last_kernel(arr([[0, 1, 2], [1, 0, 3]]), P.p)
         assert x.tolist() == [P.p - 3, P.p - 2, 1]
 
     def test_singular_leading_minor(self):
-        assert last_kernel_mod(arr([[1, 2, 3], [2, 4, 5]]), P.p) is None
+        assert last_kernel(arr([[1, 2, 3], [2, 4, 5]]), P.p) is None
         # the full matrix has a kernel, but not one with x[-1] = 1
-        assert last_kernel_mod(arr([[1, 0, 0], [0, 0, 1]]), P.p) is None
-
-    def test_rejects_other_shapes(self):
-        with pytest.raises(ValueError):
-            last_kernel_mod(np.eye(3, dtype=np.int64), P.p)
+        assert last_kernel(arr([[1, 0, 0], [0, 0, 1]]), P.p) is None
 
 
 class TestNullspace:
@@ -197,7 +202,7 @@ class TestNullspace:
                 rng.integers(0, P.p, size=(rows, r)) @ np.eye(r, dtype=np.int64)
             ) % P.p
             a = a @ rng.integers(0, P.p, size=(r, cols)) % P.p
-            _, pivots = rref_mod(a, P.p)
+            _, pivots, _ = _echelon_mod(a, P.p)
             basis = nullspace_mod(a, P.p)
             assert len(pivots) + len(basis) == cols
             for x in basis:
@@ -287,10 +292,9 @@ class TestLargestModulus:
     def test_last_kernel_round_trip(self):
         rng = np.random.default_rng(37)
         for a in nonsingular_systems(rng, BIG_P, (2, 7, 40), self.near_p):
-            x = last_kernel_mod(a, BIG_P)
-            assert x[-1] == 1
+            x = last_kernel(a, BIG_P)
+            assert x is not None and x[-1] == 1
             assert not any(matvec_exact(a, x, BIG_P))
-            assert x.tolist() == nullspace_mod(a, BIG_P)[0].tolist()
 
     def test_det_against_cofactor_expansion(self):
         rng = np.random.default_rng(23)

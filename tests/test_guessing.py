@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from qtspp import cli, guessing
 from qtspp.cofactors import CofactorTable, build_table
-from qtspp.fieldcore import IntegerPoly, PrimeModulus, WorkbenchError, nullspace_mod
+from qtspp.fieldcore import IntegerPoly, PrimeModulus, WorkbenchError, matvec_mod, nullspace_mod
 from qtspp.guessing import (
     AnsatzSupport,
     InsufficientData,
@@ -30,6 +31,7 @@ from qtspp.okada import QPoint
 
 P = PrimeModulus()
 ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "perfbench" / "fixtures" / "recurrence-symbolic.json"
 
 
 def qp(q):
@@ -128,6 +130,10 @@ class TestGuessModular:
 
         assert np.array_equal(normalized(b1[0]), normalized(b2[0]))
 
+    def test_bytes_are_pinned(self, modular_rec):
+        digest = hashlib.sha256(recurrence_to_json(modular_rec).encode()).hexdigest()
+        assert digest == "70b4cd12828e758064970de2fc932d9a841e15ae36de3a8812f3c346228a4a39"
+
 
 class TestRefineSupport:
     def test_real_refinement(self, modular_rec, refined):
@@ -163,6 +169,38 @@ class TestApplyRecurrence:
         assert grid.any()
         bad_rows = {int(n) for n, _ in np.argwhere(grid != 0)}
         assert bad_rows == {20}  # only the corrupted row can be affected
+
+    @staticmethod
+    def scalar_residuals(rec, table):
+        """R[n, j] term by term through table.value: the vectorized grid's oracle."""
+        q, coeffs = table.q_int, rec.specialize(table.q_int)
+        grid = np.zeros((table.n_max + 1, table.n_max + 1), dtype=np.int64)
+        for n in range(1, table.n_max + 1):
+            for j in range(1, n + 1):
+                grid[n, j] = sum(
+                    int(c) * pow(q, alpha * n + beta * j, P.p) * table.value(n, j + gamma)
+                    for c, (alpha, beta, gamma) in zip(coeffs, rec.support.terms)
+                ) % P.p
+        return grid
+
+    def test_matches_scalar_evaluation(self):
+        # n_max = 8 is below gamma_max: too small to guess from, not to check
+        rec = load_recurrence(FIXTURE)
+        clean = build_table(8, qp(3))
+        for table in (clean, clean.with_value(6, 2, 12345)):
+            grid = annihilation_residuals(rec, table)
+            assert np.array_equal(grid, self.scalar_residuals(rec, table))
+        assert grid.any()
+
+    def test_matches_the_equation_system(self):
+        rec = load_recurrence(FIXTURE)
+        table = build_table(35, qp(7))
+        table = table.with_value(30, 4, table.value(30, 4) + 1)
+        want = np.zeros((36, 36), dtype=np.int64)
+        eqs = build_equations(table, rec.support)
+        want[1:, 1:][np.tril_indices(35)] = matvec_mod(eqs, rec.specialize(7), P.p)
+        grid = annihilation_residuals(rec, table)
+        assert grid.any() and np.array_equal(grid, want)
 
     def test_q_point_mismatch(self, table_q2, modular_rec):
         other = build_table(35, qp(3))
@@ -215,6 +253,12 @@ class TestSweep:
 
     def test_full_sweep_survives_everywhere(self, sweep_recs):
         assert [r.q_int for r in sweep_recs] == list(range(2, 151))
+
+    def test_fixed_rows_are_pinned(self, refined):
+        rows = guessing._fixed_rows(refined, 2, 150, P.p, 35)
+        assert len(rows) == 329
+        digest = hashlib.sha256(repr(rows.tolist()).encode()).hexdigest()
+        assert digest == "8b32be5a7219666b5b05e1d96d8c7d27e032f39bc8f5b01468fa0e9c47fa5a47"
 
 
 def outcome(result):
