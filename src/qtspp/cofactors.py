@@ -8,7 +8,8 @@ The rows are nested kernels of one matrix, so one GF(p) elimination yields
 every row whose leading minor is a unit mod p.  The others share one
 elimination mod p**PADIC_PRECISION on unit pivots, then take one small Schur
 complement solve each (PrecisionExhausted when those digits run out).
-Every row is re-checked against the orthogonality identity.
+Every row is re-checked against the orthogonality identity, a lifted row
+also mod p**PADIC_PRECISION before it is reduced mod p.
 
 Independent oracles: direct determinant elimination, the telescoped
 certificate product, and a minors-based cofactor computation at small sizes.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import io
 import logging
 import struct
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -147,8 +149,11 @@ class CofactorTable:
         return path
 
 
-def _table_from_triples(q_int: int, p: int, n_max: int, triples) -> CofactorTable:
+def _table_from_triples(q_int: int, p: int, n_max: int, triples: list) -> CofactorTable:
     modulus = PrimeModulus(p)
+    # the count is checked first, so a header's n_max allocates nothing the file lacks
+    if len(triples) != n_max * (n_max + 1) // 2:
+        raise ValueError(f"expected {n_max * (n_max + 1) // 2} triples, got {len(triples)}")
     rows = [np.zeros(n, dtype=np.int64) for n in range(1, n_max + 1)]
     seen = set()
     for n, j, v in triples:
@@ -158,8 +163,6 @@ def _table_from_triples(q_int: int, p: int, n_max: int, triples) -> CofactorTabl
             raise ValueError(f"position ({n}, {j}) appears twice")
         seen.add((n, j))
         rows[n - 1][j - 1] = v % p
-    if len(seen) != n_max * (n_max + 1) // 2:
-        raise ValueError(f"expected {n_max * (n_max + 1) // 2} triples, got {len(seen)}")
     return CofactorTable(n_max, q_int, modulus, rows)
 
 
@@ -176,11 +179,11 @@ def load_table(path: str | Path) -> CofactorTable:
     try:
         if data[:4] == _BINARY_MAGIC:
             q_int, p, n_max = struct.unpack_from("<QQQ", data, 4)
-            triples = struct.iter_unpack("<IIQ", data[4 + 24 :])
+            triples = list(struct.iter_unpack("<IIQ", data[4 + 24 :]))
             return _table_from_triples(q_int, p, n_max, triples)
         lines = data.decode("ascii").splitlines()
         q_int, p, n_max = (int(t) for t in lines[0].split())
-        triples = (tuple(int(t) for t in line.split()) for line in lines[1:] if line.strip())
+        triples = [tuple(int(t) for t in line.split()) for line in lines[1:] if line.strip()]
         return _table_from_triples(q_int, p, n_max, triples)
     except (ValueError, IndexError, struct.error) as exc:
         raise InvalidInput(f"malformed table file {path}: {exc}") from exc
@@ -194,8 +197,9 @@ def load_table(path: str | Path) -> CofactorTable:
 # some leading minors of the entry matrix are divisible by p although the
 # certificate values themselves are p-integral (the prime powers cancel
 # between minors).  Those rows are lifted mod p**PADIC_PRECISION, every
-# lossy pivot inside one row's small Schur complement; the orthogonality
-# residual check then certifies them like any other row.
+# lossy pivot inside one row's small Schur complement; an orthogonality
+# residual mod p**PADIC_PRECISION against an untouched entry matrix then
+# certifies the lifted vector, and the mod-p residual the stored row.
 
 #: p-adic digits carried by a lifted row.  Pivots of total valuation d cost
 #: up to d digits in elimination and d more in back substitution, and the
@@ -239,16 +243,13 @@ def _extend_prefix(m: list[list[int]], lo: int, hi: int, n: int, qpt: QPoint) ->
                 row[col:] = [x - f * y for x, y in zip(row[col:], prow[col:])]
 
 
-def _schur_row(m: list[list[int]], k: int, n: int, qpt: QPoint) -> np.ndarray:
-    """Row n as p**s times the exact rational row, mod p, past k eliminated columns.
+def _schur_row(m: list[list[int]], k: int, n: int, qpt: QPoint) -> list[int]:
+    """Row n's kernel vector mod p**PADIC_PRECISION, past k eliminated columns.
 
     Eliminates the Schur complement m[k:n-1][k:n] with minimal-valuation
     pivots; with the unit prefix their total valuation d is the valuation of
     the leading (n-1)-minor, so the kernel vector y with y[n-1] = p**d is
-    p-integral.  Back substitution finds it, and dividing out its least
-    valuation leaves p**s times the rational row (s = 0 is the ordinary
-    case, with y[n-1] reduced to 1).  Every identity used downstream is
-    homogeneous within a row, so only the normalization check sees s > 0.
+    p-integral.  Back substitution finds it.
     """
     p = qpt.modulus.p
     pk = p**PADIC_PRECISION
@@ -276,10 +277,7 @@ def _schur_row(m: list[list[int]], k: int, n: int, qpt: QPoint) -> np.ndarray:
         acc = -sum(x * z for x, z in zip(u[i][i + 1 :], y[i + 1 :])) % pk
         pv = p ** vals[i]
         y[i] = acc // pv * pow(u[i][i] // pv, -1, pk) % pk
-    low = min(_valuation(v, p) for v in y)
-    if low < d:
-        log.info("row n=%d at q=%d stored as p**%d times the rational row", n, qpt.q_int, d - low)
-    return np.array([v // p**low % p for v in y], dtype=np.int64)
+    return y
 
 
 def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
@@ -291,17 +289,23 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     p**PADIC_PRECISION on unit pivots, extended once per block
     (_extend_prefix), reaches each block, and each of its rows is one small
     Schur complement solve (_schur_row), which raises PrecisionExhausted
-    when those digits do not suffice.  A row that fails the orthogonality
-    identity raises SingularMatrix carrying the offending n.
+    when those digits do not suffice.  A lifted row must be orthogonal mod
+    p**PADIC_PRECISION to an untouched entry matrix before its least p-power
+    is divided out, leaving p**s times the rational row (s > 0 is seen only
+    by the normalization check: every other identity is homogeneous within
+    a row).  A row failing an orthogonality check raises SingularMatrix with
+    the offending n.
     """
     if n_max < 1:
         raise InvalidInput("n_max must be >= 1")
     p = qpt.modulus.p
+    pk = p**PADIC_PRECISION
     a = okada_slice(n_max, qpt)
     rows = leading_kernels_mod(a, p)
     lifted = [n for n in range(2, n_max + 1) if n not in rows]
     if lifted:  # rows < n - 1 and columns < n of the entry matrix serve row n
-        m = entry_matrix(lifted[-1], qpt.q_int, p**PADIC_PRECISION).tolist()[:-1]
+        whole = entry_matrix(lifted[-1], qpt.q_int, pk).tolist()[:-1]
+        m = [row[:] for row in whole]
     k = 0  # columns < k of m are eliminated
     for n in range(2, n_max + 1):
         if n in lifted:
@@ -309,11 +313,17 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
             if n - 1 not in lifted:  # a block starts: row n - 1 says the (n-2)-minor is a unit
                 _extend_prefix(m, k, n - 2, n, qpt)
                 k = n - 2
-            rows[n] = _schur_row(m, k, n, qpt)
+            y = _schur_row(m, k, n, qpt)
+            if any(sum(map(mul, row, y)) % pk for row in whole[: n - 1]):
+                msg = f"row n={n} fails the orthogonality identity mod p**{PADIC_PRECISION}"
+                raise SingularMatrix(f"{msg} at q={qpt.q_int}", n)
+            low = min(_valuation(v, p) for v in y)
+            s = _valuation(y[-1], p) - low
+            if s:
+                log.info("row n=%d at q=%d stored as p**%d times the rational row", n, qpt.q_int, s)
+            rows[n] = np.array([v // p**low % p for v in y], dtype=np.int64)
         if matvec_mod(a[: n - 1, :n], rows[n], p).any():
-            err = SingularMatrix(f"row n={n} fails the orthogonality identity at q={qpt.q_int}")
-            err.n = n
-            raise err
+            raise SingularMatrix(f"row n={n} fails the orthogonality identity at q={qpt.q_int}", n)
     return CofactorTable(n_max, qpt.q_int, qpt.modulus, [rows[n] for n in range(1, n_max + 1)])
 
 

@@ -3,7 +3,8 @@
 The modulus, dense linear algebra on int64 residue arrays taking an
 explicit p (the nested leading kernels of one matrix from an [a.T | I]
 elimination; nullspace, rank and determinant from one row echelon
-form), interpolation, and the two reconstruction algorithms that
+form, which also yields the inverse Vandermonde matrix that interpolation
+multiplies by), and the two reconstruction algorithms that
 lift modular images back to symbolic objects: rational functions over
 GF(p) (Cauchy interpolation via the extended Euclidean algorithm, with no
 degree bounds: the candidate is the one before the quotient of maximal
@@ -48,6 +49,10 @@ class ZeroInverse(WorkbenchError, ZeroDivisionError):
 
 class SingularMatrix(WorkbenchError):
     """A linear system has no valid solution; .n names the offending row."""
+
+    def __init__(self, message: str, n: int | None = None):
+        super().__init__(message)
+        self.n = n
 
 
 class DuplicateAbscissa(WorkbenchError):
@@ -267,8 +272,10 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_eval(c: Sequence[int], x: int, p: int) -> int:
-    acc = 0
+def _poly_eval(c: Sequence[int], x, p: int):
+    """c at an int x, or elementwise at an int64 array of residues x (each
+    Horner step stays below p**2, which fits int64 for p <= MAX_MODULUS)."""
+    acc = x * 0
     for v in reversed(c):
         acc = (acc * x + v) % p
     return acc
@@ -299,23 +306,6 @@ def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
             for i, bc in enumerate(b):
                 rem[k + i] = (rem[k + i] - c * bc) % p
     return quot, _trim(rem[: dlen - 1])
-
-
-def _newton_expand(xs: Sequence[int], cs: Sequence[int], p: int) -> list[int]:
-    """sum of cs[i] * (X - xs[0]) ... (X - xs[i-1]) in the monomial basis.
-
-    Horner's rule in the Newton basis, one multiplication by (X - x) per
-    node.  cs has len(xs) entries (an interpolant's divided differences) or
-    len(xs) + 1, where [0, ..., 0, 1] gives the node product prod (X - xi).
-    """
-    out = [cs[-1]]
-    for i in range(len(cs) - 2, -1, -1):
-        x = xs[i]
-        out.append(out[-1])
-        for k in range(len(out) - 2, 0, -1):
-            out[k] = (out[k - 1] - x * out[k]) % p
-        out[0] = (cs[i] - x * out[0]) % p
-    return _trim(out)
 
 
 class IntegerPoly:
@@ -361,26 +351,34 @@ class IntegerPoly:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _vandermonde_inverse(xs: tuple[int, ...], p: int) -> np.ndarray:
+    """V**-1 over GF(p) for V[i, j] = xs[i]**j, read-only; xs distinct residues.
+
+    The kernel of [V | -I] is {(V**-1 y, y)}, and the reduced-echelon basis
+    of nullspace_mod puts e[i] in the free columns: row i is (V**-1 e[i], e[i]).
+    """
+    n = len(xs)
+    v = np.array([[pow(x, j, p) for j in range(n)] for x in xs], dtype=np.int64)
+    out = nullspace_mod(np.hstack([v, -np.eye(n, dtype=np.int64) % p]), p)[:, :n].T.copy()
+    out.setflags(write=False)
+    return out
+
+
 def interpolate_poly(points: Sequence[tuple[int, int]], p: int) -> list[int]:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Newton's divided differences over GF(p); x coordinates must be distinct.
+    The coefficients are V**-1 y for the Vandermonde matrix V of the x
+    coordinates, which must be distinct; V**-1 is cached per point set.
     Returns the coefficient list, lowest degree first ([] for zero).
     """
-    xs = [int(x) % p for x, _ in points]
-    ys = [int(y) % p for _, y in points]
+    xs = tuple(int(x) % p for x, _ in points)
+    ys = np.array([int(y) % p for _, y in points], dtype=np.int64)
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("interpolation points share an x coordinate")
-    n = len(xs)
-    if n == 0:
+    if not xs:
         return []
-    dd = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            num = (dd[i] - dd[i - 1]) % p
-            den = (xs[i] - xs[i - level]) % p
-            dd[i] = num * _inv_mod(den, p) % p
-    return _newton_expand(xs, dd, p)
+    return _trim(matvec_mod(_vandermonde_inverse(xs, p), ys, p).tolist())
 
 
 def reconstruct_rational_function(
@@ -405,12 +403,11 @@ def reconstruct_rational_function(
     ys = [int(y) % p for _, y in points]
     r1 = interpolate_poly(list(zip(xs, ys)), p)
 
-    r0_degree = len(xs)
     t0, t1 = [], [1]
-    r0 = None  # prod(x - xi), built only if a Euclidean step is needed
+    r0 = None  # prod(X - xi), built only if a Euclidean step is needed
     best, best_degree, tied = None, 1, False
     while True:
-        q_degree = r0_degree - (len(r1) - 1)
+        q_degree = (len(xs) + 1 if r0 is None else len(r0)) - len(r1)
         if q_degree > best_degree:
             best, best_degree, tied = (r1, t1), q_degree, False
         elif q_degree == best_degree:
@@ -418,11 +415,11 @@ def reconstruct_rational_function(
         # the quotients still to come have degrees summing to at most deg r1
         if best_degree > len(r1) - 1:
             break
-        if r0 is None:
-            r0 = _newton_expand(xs, [0] * len(xs) + [1], p)
+        if r0 is None:  # X**N plus the polynomial through the points (xi, -xi**N)
+            r0 = interpolate_poly([(x, -pow(x, len(xs), p)) for x in xs], p)
+            r0 += [0] * (len(xs) - len(r0)) + [1]
         q, r = _poly_divmod(r0, r1, p)
         r0, r1 = r1, r
-        r0_degree = len(r0) - 1
         qt = _poly_mul(q, t1, p)
         t0, t1 = t1, _trim([(a - b) % p for a, b in zip_longest(t0, qt, fillvalue=0)])
 
@@ -444,12 +441,14 @@ def reconstruct_rational_function(
     inv_lead = _inv_mod(den[-1], p)
     num = [c * inv_lead % p for c in num]
     den = [c * inv_lead % p for c in den]
-    for x, y in zip(xs, ys):
-        dv = _poly_eval(den, x, p)
-        if dv == 0:
-            raise PoleAtSample(x)
-        if _poly_eval(num, x, p) != y * dv % p:
-            raise NoFit(f"verification failed at sample x={x}")
+    at = np.array(xs, dtype=np.int64)
+    dv = _poly_eval(den, at, p)
+    bad = np.flatnonzero((dv == 0) | (_poly_eval(num, at, p) != np.array(ys) * dv % p))
+    if bad.size:
+        i = bad[0]
+        if dv[i] == 0:
+            raise PoleAtSample(xs[i])
+        raise NoFit(f"verification failed at sample x={xs[i]}")
     return num, den
 
 

@@ -438,14 +438,6 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-def _lift_poly_coeffs(coeffs: Sequence[int], p: int) -> list[Fraction]:
-    out = []
-    for c in coeffs:
-        a, b = reconstruct_rational_number(c, p)
-        out.append(Fraction(a, b))
-    return out
-
-
 def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrence:
     """Combine a sweep's modular recurrences into integer polynomials in q.
 
@@ -479,10 +471,11 @@ def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrenc
         raise ValueError("q points collide mod p")
     samples_by_term = np.stack([r.coefficients for r in recs], axis=1)
 
-    d_at = [1] * len(xs)  # the common denominator D at every sample
+    at = np.array(xs, dtype=np.int64)
+    d_at = np.ones_like(at)  # the common denominator D at every sample
     fitted: list[tuple[list[int], list[int]]] = []
     for k, term in enumerate(support.terms):
-        points = [(x, int(v) * d % p) for x, v, d in zip(xs, samples_by_term[k], d_at)]
+        points = list(zip(xs, (samples_by_term[k] * d_at % p).tolist()))
         try:
             num, den = reconstruct_rational_function(points, p)
         except NoFit as exc:
@@ -496,17 +489,18 @@ def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrenc
                 "the fitted denominator vanishes (the sweep never samples a true pole)"
             ) from exc
         fitted.append((num, den))
-        d_at = [d * _poly_eval(den, x, p) % p for d, x in zip(d_at, xs)]
+        d_at = d_at * _poly_eval(den, at, p) % p
 
     cleared: list[list[Fraction]] = []
     later = [1]
     for term, (num, den) in zip(reversed(support.terms), reversed(fitted)):
         try:
-            cleared.append(_lift_poly_coeffs(_poly_mul(num, later, p), p))
+            lifts = [reconstruct_rational_number(c, p) for c in _poly_mul(num, later, p)]
         except NoReconstruction as exc:
             raise ReconstructionFailed(
                 f"term {term}: rational lift failed ({exc}); widen the sweep"
             ) from exc
+        cleared.append([Fraction(a, b) for a, b in lifts])
         later = _poly_mul(later, den, p)
     cleared.reverse()
 
@@ -530,17 +524,13 @@ def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrenc
         prime=p,
         q_points_used=q_points,
     )
-    pivot_idx = support.terms.index(pivot)
-    for r in recs:
-        x = r.q_int % p
-        piv_val = sym.coefficients[pivot_idx].eval_mod(x, p)
-        for k in range(len(support)):
-            lhs = sym.coefficients[k].eval_mod(x, p)
-            rhs = piv_val * int(r.coefficients[k]) % p
-            if lhs != rhs:
-                raise ReconstructionFailed(
-                    f"reconstructed coefficients disagree with the sample at q={r.q_int}"
-                )
+    values = np.array([_poly_eval([c % p for c in poly.coeffs], at, p) for poly in coeffs])
+    expected = values[support.terms.index(pivot)] * samples_by_term % p
+    bad = np.flatnonzero((values != expected).any(axis=0))
+    if bad.size:
+        raise ReconstructionFailed(
+            f"reconstructed coefficients disagree with the sample at q={q_points[bad[0]]}"
+        )
     return sym
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ from qtspp.cofactors import (
     det_direct,
     load_table,
 )
-from qtspp.fieldcore import PrimeModulus, SingularMatrix, WorkbenchError
+from qtspp.fieldcore import InvalidInput, PrimeModulus, SingularMatrix, WorkbenchError
 from qtspp.guessing import AnsatzSupport, sweep
 from qtspp.okada import QPoint, nice_ratio, okada_entry, qbinom, qtspp_orbit_product
 from qtspp.verify import check_soichi
@@ -151,7 +152,9 @@ class TestTableGates:
         with pytest.raises(WorkbenchError, match=r"row n=4 at q=2: prefix column 1 has no unit"):
             cofactors._extend_prefix(m, 0, 3, 4, qp(2))
 
-    @pytest.mark.parametrize("entry, first", [((0, 11), 13), ((5, 11), 13), ((0, 12), 14)])
+    @pytest.mark.parametrize(
+        "entry, first", [((0, 11), 13), ((5, 11), 13), ((0, 12), 13), ((12, 11), 14), ((11, 12), 13)]
+    )
     def test_corrupt_prefix_fails_orthogonality(self, monkeypatch, entry, first):
         extend = cofactors._extend_prefix
 
@@ -310,3 +313,16 @@ class TestPersistence:
         bad.write_text("3 2147483647 2\n1 1 1\n")
         with pytest.raises(ValueError):
             load_table(bad)
+
+    def test_header_is_checked_before_allocating(self, tmp_path):
+        # a 44-byte file whose header claims n_max = 4000 (8,002,000 triples)
+        bad = tmp_path / "short.bin"
+        bad.write_bytes(b"QTB1" + struct.pack("<QQQ", 3, P.p, 4000) + struct.pack("<IIQ", 1, 1, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput, match=rf"{bad.name}.*expected 8002000 triples, got 1"):
+                load_table(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

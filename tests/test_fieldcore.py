@@ -308,6 +308,22 @@ class TestLargestModulus:
         x = self.near_p(rng, 300)
         assert matvec_mod(a, x, BIG_P).tolist() == matvec_exact(a, x, BIG_P)
 
+    def test_interpolation_round_trip(self):
+        # 149 points, as many as the sweep's q = 2..150
+        rng = np.random.default_rng(31)
+        coeffs = self.near_p(rng, 149).tolist()
+        xs = sorted(set(self.near_p(rng, 400).tolist()))[:149]
+        ys = [sum(c * x**e for e, c in enumerate(coeffs)) % BIG_P for x in xs]
+        assert interpolate_poly(list(zip(xs, ys)), BIG_P) == coeffs
+
+    def test_array_poly_eval_matches_scalar(self):
+        rng = np.random.default_rng(41)
+        coeffs = self.near_p(rng, 64).tolist()
+        xs = self.near_p(rng, 500)
+        values = _poly_eval(coeffs, xs, BIG_P)
+        assert values.tolist() == [_poly_eval(coeffs, x, BIG_P) for x in xs.tolist()]
+        assert _poly_eval([], xs, BIG_P).tolist() == [0] * 500
+
 
 def ev(poly, x):
     return _poly_eval(poly, x, P.p)

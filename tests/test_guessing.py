@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtspp import cli, guessing
+from qtspp import cli, fieldcore, guessing
 from qtspp.cofactors import CofactorTable, build_table
 from qtspp.fieldcore import IntegerPoly, PrimeModulus, WorkbenchError, matvec_mod, nullspace_mod
 from qtspp.guessing import (
@@ -420,6 +420,36 @@ class TestReconstructSymbolic:
         for r in recs:
             r.coefficients[1:] = rng.integers(0, P.p, size=2)
         with pytest.raises(ReconstructionFailed):
+            reconstruct_symbolic(recs)
+
+    def test_corrupt_vandermonde_inverse_is_refused(self, monkeypatch):
+        inverse = fieldcore._vandermonde_inverse
+
+        def corrupted(xs, p):
+            out = inverse(xs, p).copy()
+            out[3, 5] = (out[3, 5] + 1) % p
+            return out
+
+        monkeypatch.setattr(fieldcore, "_vandermonde_inverse", corrupted)
+        sup = AnsatzSupport(((0, 0, 0), (1, 0, 0), (0, 1, 0)), (1, 1, 0))
+        funcs = [([1], [1]), ([1, 0, 1], [-3, 1]), ([-5, 2], [-3, 1])]
+        recs = synthetic_recs(sup, (0, 0, 0), funcs, [q for q in range(2, 43) if q != 3])
+        with pytest.raises(ReconstructionFailed, match=r"term \(0, 0, 0\)"):
+            reconstruct_symbolic(recs)
+
+    def test_wrong_lift_trips_the_closing_check(self, monkeypatch):
+        calls = []
+
+        def perturbed(r, p):
+            a, b = fieldcore.reconstruct_rational_number(r, p)
+            calls.append(r)
+            return (a + 1, b) if len(calls) == 1 else (a, b)
+
+        monkeypatch.setattr(guessing, "reconstruct_rational_number", perturbed)
+        sup = AnsatzSupport(((0, 0, 0), (1, 0, 0), (0, 1, 0)), (1, 1, 0))
+        funcs = [([1], [1]), ([1, 0, 1], [-3, 1]), ([-5, 2], [-3, 1])]
+        recs = synthetic_recs(sup, (0, 0, 0), funcs, [q for q in range(2, 43) if q != 3])
+        with pytest.raises(ReconstructionFailed, match=r"disagree with the sample at q=2$"):
             reconstruct_symbolic(recs)
 
     def test_artefact_trips_plausibility_gate(self, tmp_path, monkeypatch):
