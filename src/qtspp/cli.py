@@ -1,9 +1,11 @@
 """Command line front end: drives the pipeline stages and file I/O.
 
 Subcommands: cofactors, guess, reconstruct, verify {soichi, okada,
-normalization, extended, ct, brute}, pipeline.  All artifacts are plain
-text (decimal table files, canonical JSON for recurrences and reports), so
-reruns with identical configuration produce byte-identical files.
+normalization, extended, ct, brute}, pipeline.  Each stage (table, guess,
+reconstruction, reports) is one function that its subcommand and `pipeline`
+both run.  All artifacts are plain text (decimal table files, canonical
+JSON for recurrences and reports), so reruns with identical configuration
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ OUT_DIR_ENV = "QTSPP_OUT"
 MAX_ABS_COEFFICIENT = 43
 
 
+class GateFailed(WorkbenchError):
+    """A stage's result failed its plausibility gate or one of its checks."""
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """All knobs of the reproduction pipeline, with desk-scale defaults."""
@@ -91,13 +97,142 @@ class PipelineConfig:
         return self.out_dir
 
 
-def _check_q_usable(q_int: int, modulus: PrimeModulus) -> None:
-    order = QPoint(q_int, modulus).order
-    if q_int != 1 and order < MIN_Q_ORDER:
+def _check_q_usable(q_int: int, modulus: PrimeModulus) -> QPoint:
+    """q_int as a point mod p; refuses an order below MIN_Q_ORDER."""
+    point = QPoint(q_int, modulus)
+    if q_int != 1 and point.order < MIN_Q_ORDER:
         raise WorkbenchError(
-            f"q={q_int} has multiplicative order {order} mod {modulus.p}; "
+            f"q={q_int} has multiplicative order {point.order} mod {modulus.p}; "
             f"the entry matrix degenerates at such points, pick another q"
         )
+    return point
+
+
+# ---------------------------------------------------------------------------
+# Stages: each subcommand and `pipeline` run these same functions
+# ---------------------------------------------------------------------------
+
+
+def _table(modulus: PrimeModulus, q_int: int, n_max: int) -> CofactorTable:
+    """The certificate table up to n_max at q_int."""
+    return build_table(n_max, _check_q_usable(q_int, modulus))
+
+
+def _discovery_table(config: PipelineConfig, q_int: int, in_path: Path | None) -> CofactorTable:
+    """The table to guess on: read from in_path (truncated to n_max), or built at q_int."""
+    if in_path is None:
+        return _table(config.modulus(), q_int, config.n_max)
+    table = load_table(in_path)
+    if table.n_max < config.n_max:
+        raise WorkbenchError(f"table in {in_path} covers only n <= {table.n_max}")
+    return table.truncated(config.n_max)
+
+
+def _table_stage(
+    config: PipelineConfig, q_int: int, n_max: int, binary: bool = False
+) -> tuple[CofactorTable, Path]:
+    """Stage 1: build the certificate table at q_int and save it."""
+    t0 = time.perf_counter()
+    table = _table(config.modulus(), q_int, n_max)
+    elapsed = time.perf_counter() - t0
+    path = config.ensure_out_dir() / f"cofactors-q{q_int}-n{n_max}.{'bin' if binary else 'txt'}"
+    table.save_binary(path) if binary else table.save_text(path)
+    print(f"wrote {path}: {n_max} rows, {len(table)} values at q={q_int}, p={config.prime} "
+          f"({elapsed:.2f}s)")
+    return table, path
+
+
+def _guess_stage(config: PipelineConfig, table: CofactorTable) -> tuple[ModularRecurrence, Path]:
+    """Stage 2: solve the full ansatz system on table, save it, gate on a 1-dim solution space."""
+    t0 = time.perf_counter()
+    rec = guess_modular(table, config.support())
+    elapsed = time.perf_counter() - t0
+    path = save_recurrence(rec, config.ensure_out_dir() / f"recurrence-modular-q{table.q_int}.json")
+    print(f"wrote {path}: nullspace dimension {rec.nullspace_dim}, "
+          f"{rec.zero_count()} of {len(rec.support)} coefficients zero ({elapsed:.2f}s)")
+    if rec.nullspace_dim != 1:
+        raise GateFailed(f"expected a one dimensional solution space, found {rec.nullspace_dim}")
+    return rec, path
+
+
+def _reconstruct_stage(
+    config: PipelineConfig, rec: ModularRecurrence
+) -> tuple[SymbolicRecurrence, Path]:
+    """Stage 3: refine rec's support, sweep, reconstruct, save, gate on coefficient size."""
+    t0 = time.perf_counter()
+    refined = refine_support(rec)
+    log.info("refined support: %d of %d terms", len(refined), len(rec.support))
+    recs = sweep(refined, config.q_from, config.q_to, p=config.prime, n_max=config.n_max,
+                 pivot_term=rec.pivot_term, workers=config.workers)
+    sym = reconstruct_symbolic(recs)
+    path = save_recurrence(sym, config.ensure_out_dir() / "recurrence-symbolic.json")
+    maxc = sym.max_abs_coefficient()
+    print(f"wrote {path}: {len(sym.coefficients)} coefficient polynomials from "
+          f"{len(sym.q_points_used)} q points, max |coefficient| = {maxc} "
+          f"({time.perf_counter() - t0:.2f}s)")
+    if maxc > MAX_ABS_COEFFICIENT:
+        raise GateFailed(
+            f"max |coefficient| = {maxc} exceeds the plausibility bound "
+            f"{MAX_ABS_COEFFICIENT}: probable artefact solution"
+        )
+    return sym, path
+
+
+def _report_out(config: PipelineConfig, report: VerificationReport, name: str) -> bool:
+    """Save report as report-<name>.json, print its summary, and say whether it passed."""
+    report.save(config.ensure_out_dir() / f"report-{name}.json")
+    print(report.summary_line())
+    return report.passed
+
+
+def _extended_report(config: PipelineConfig, rec, q_int: int, n_ext: int) -> bool:
+    """Annihilation of a fresh table to n_ext at q_int, as report-extended-q<q>.json."""
+    report = check_extended(rec, q_int, config.prime, n_ext)
+    return _report_out(config, report, f"extended-q{q_int}")
+
+
+_IDENTITY_CHECKS = {
+    "normalization": lambda tables, bound: check_normalization(tables),
+    "soichi": check_soichi,
+    "okada": check_okada,
+}
+
+
+def _identity_tables(config: PipelineConfig, q1: bool) -> list[CofactorTable]:
+    modulus = config.modulus()
+    if q1:
+        return [_table(modulus, 1, config.L_q1)]
+    qs = select_q_points(config.q_count, config.L, modulus)
+    return [_table(modulus, q, config.L) for q in qs]
+
+
+def _identity_reports(
+    config: PipelineConfig, tables: list[CofactorTable], q1: bool, names=tuple(_IDENTITY_CHECKS)
+) -> bool:
+    """Run the identity checks `names` on tables; the q = 1 reports get a -q1 suffix."""
+    bound = config.L_q1 if q1 else config.L
+    return all([
+        _report_out(config, _IDENTITY_CHECKS[name](tables, bound), f"{name}-q1" if q1 else name)
+        for name in names
+    ])
+
+
+def _brute_report(config: PipelineConfig) -> bool:
+    """Order-ideal enumeration against the orbit product for n <= 4, as report-brute.json."""
+    report = VerificationReport("brute-force", 4, [])
+    modulus = config.modulus()
+    t0 = time.perf_counter()
+    for n in range(1, 5):
+        poly = brute_force_qtspp(n)
+        for q in select_q_points(30, n, modulus, seed=424242 + n):
+            report.checks += 1
+            lhs = poly.eval_mod(q % modulus.p, modulus.p)
+            rhs = qtspp_orbit_product(n, QPoint(q, modulus))
+            if lhs != rhs:
+                report.record_failure(n=n, q=q, brute=lhs, product=rhs)
+        report.details[f"count_n{n}"] = poly(1)
+    report.elapsed = time.perf_counter() - t0
+    return _report_out(config, report, "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -107,253 +242,89 @@ def _check_q_usable(q_int: int, modulus: PrimeModulus) -> None:
 
 def cmd_cofactors(config: PipelineConfig, q_int: int, binary: bool = False) -> Path:
     """Build and persist the certificate table at one q point."""
-    modulus = config.modulus()
-    _check_q_usable(q_int, modulus)
-    t0 = time.perf_counter()
-    table = build_table(config.n_max, QPoint(q_int, modulus))
-    elapsed = time.perf_counter() - t0
-    out = config.ensure_out_dir()
-    suffix = "bin" if binary else "txt"
-    path = out / f"cofactors-q{q_int}-n{config.n_max}.{suffix}"
-    table.save_binary(path) if binary else table.save_text(path)
-    print(
-        f"wrote {path}: {table.n_max} rows, {len(table)} values at "
-        f"q={q_int}, p={modulus.p} ({elapsed:.2f}s)"
-    )
-    return path
-
-
-def _discovery_table(config: PipelineConfig, q_int: int, in_path: Path | None) -> CofactorTable:
-    if in_path is not None:
-        table = load_table(in_path)
-        if table.n_max < config.n_max:
-            raise WorkbenchError(f"table in {in_path} covers only n <= {table.n_max}")
-        return table.truncated(config.n_max)
-    modulus = config.modulus()
-    _check_q_usable(q_int, modulus)
-    return build_table(config.n_max, QPoint(q_int, modulus))
+    return _table_stage(config, q_int, config.n_max, binary)[1]
 
 
 def cmd_guess(config: PipelineConfig, q_int: int = 2, in_path: Path | None = None) -> Path:
     """Solve the full ansatz system at one q point and persist the result."""
-    t0 = time.perf_counter()
-    table = _discovery_table(config, q_int, in_path)
-    rec = guess_modular(table, config.support())
-    elapsed = time.perf_counter() - t0
-    out = config.ensure_out_dir()
-    path = out / f"recurrence-modular-q{table.q_int}.json"
-    save_recurrence(rec, path)
-    print(
-        f"wrote {path}: nullspace dimension {rec.nullspace_dim}, "
-        f"{rec.zero_count()} of {len(rec.support)} coefficients zero ({elapsed:.2f}s)"
-    )
-    if rec.nullspace_dim != 1:
-        raise WorkbenchError(
-            f"expected a one dimensional solution space, found {rec.nullspace_dim}"
-        )
-    return path
+    return _guess_stage(config, _discovery_table(config, q_int, in_path))[1]
 
 
-def _symbolic_recurrence(
-    config: PipelineConfig, rec: ModularRecurrence
-) -> tuple[SymbolicRecurrence, Path]:
-    """Stage 3: refine rec's support, sweep it, reconstruct, and save the result."""
-    refined = refine_support(rec)
-    log.info("refined support: %d of %d terms", len(refined), len(rec.support))
-    recs = sweep(
-        refined,
-        config.q_from,
-        config.q_to,
-        p=config.prime,
-        n_max=config.n_max,
-        pivot_term=rec.pivot_term,
-        workers=config.workers,
-    )
-    sym = reconstruct_symbolic(recs)
-    return sym, save_recurrence(sym, config.ensure_out_dir() / "recurrence-symbolic.json")
-
-
-def cmd_reconstruct(config: PipelineConfig, q_int: int = 2) -> Path:
+def cmd_reconstruct(config: PipelineConfig, q_int: int = 2, in_path: Path | None = None) -> Path:
     """Discover, refine, sweep, and reconstruct the symbolic recurrence."""
-    table = _discovery_table(config, q_int, None)
-    rec = guess_modular(table, config.support())
-    if rec.nullspace_dim != 1:
-        raise WorkbenchError(
-            f"expected a one dimensional solution space, found {rec.nullspace_dim}"
-        )
-    sym, path = _symbolic_recurrence(config, rec)
-    maxc = sym.max_abs_coefficient()
-    print(
-        f"wrote {path}: {len(sym.coefficients)} coefficient polynomials from "
-        f"{len(sym.q_points_used)} q points, max |coefficient| = {maxc}"
-    )
-    if maxc > MAX_ABS_COEFFICIENT:
-        raise WorkbenchError(
-            f"max |coefficient| = {maxc} exceeds the plausibility bound "
-            f"{MAX_ABS_COEFFICIENT}: probable artefact solution"
-        )
-    return path
-
-
-def _report_out(config: PipelineConfig, report: VerificationReport, name: str) -> Path:
-    out = config.ensure_out_dir()
-    path = out / f"report-{name}.json"
-    report.save(path)
-    print(report.summary_line())
-    return path
-
-
-def _identity_tables(config: PipelineConfig, q1: bool) -> list[CofactorTable]:
-    modulus = config.modulus()
-    if q1:
-        return [build_table(config.L_q1, QPoint(1, modulus))]
-    qs = select_q_points(config.q_count, config.L, modulus)
-    return [build_table(config.L, QPoint(q, modulus)) for q in qs]
+    rec, _ = _guess_stage(config, _discovery_table(config, q_int, in_path))
+    return _reconstruct_stage(config, rec)[1]
 
 
 def cmd_verify(config: PipelineConfig, which: str, q_int: int = 2,
                in_path: Path | None = None, q1: bool = False,
                ct_bound: int | None = None) -> int:
     """Run one verification program; exit status 0 only on a clean pass."""
-    if which in ("soichi", "okada", "normalization"):
-        tables = _identity_tables(config, q1)
-        bound = config.L_q1 if q1 else config.L
-        if which == "soichi":
-            report = check_soichi(tables, bound)
-        elif which == "okada":
-            report = check_okada(tables, bound)
-        else:
-            report = check_normalization(tables)
-        name = f"{which}-q1" if q1 else which
-        _report_out(config, report, name)
-        return 0 if report.passed else 1
-    if which == "extended":
+    if which in _IDENTITY_CHECKS:
+        passed = _identity_reports(config, _identity_tables(config, q1), q1, names=[which])
+    elif which == "extended":
         if in_path is None:
             raise WorkbenchError("verify extended needs --in <symbolic recurrence file>")
         _check_q_usable(q_int, config.modulus())
-        rec = load_recurrence(in_path)
-        report = check_extended(rec, q_int, config.prime, config.n_ext)
-        _report_out(config, report, f"extended-q{q_int}")
-        return 0 if report.passed else 1
-    if which == "ct":
-        report = ct_check_q1(ct_bound if ct_bound is not None else 30)
-        _report_out(config, report, "ct-q1")
-        return 0 if report.passed else 1
-    if which == "brute":
-        report = VerificationReport("brute-force", 4, [])
-        modulus = config.modulus()
-        t0 = time.perf_counter()
-        for n in range(1, 5):
-            poly = brute_force_qtspp(n)
-            qs = select_q_points(30, n, modulus, seed=424242 + n)
-            for q in qs:
-                report.checks += 1
-                lhs = poly.eval_mod(q % modulus.p, modulus.p)
-                rhs = qtspp_orbit_product(n, QPoint(q, modulus))
-                if lhs != rhs:
-                    report.record_failure(n=n, q=q, brute=lhs, product=rhs)
-            report.details[f"count_n{n}"] = poly(1)
-        report.elapsed = time.perf_counter() - t0
-        _report_out(config, report, "brute")
-        return 0 if report.passed else 1
-    raise WorkbenchError(f"unknown verification {which!r}")
+        passed = _extended_report(config, load_recurrence(in_path), q_int, config.n_ext)
+    elif which == "ct":
+        passed = _report_out(config, ct_check_q1(ct_bound if ct_bound is not None else 30), "ct-q1")
+    elif which == "brute":
+        passed = _brute_report(config)
+    else:
+        raise WorkbenchError(f"unknown verification {which!r}")
+    return 0 if passed else 1
 
 
 def cmd_pipeline(config: PipelineConfig, q1: bool = False) -> int:
     """One-shot reproduction: table, guess, sweep, reconstruct, verify."""
-    out = config.ensure_out_dir()
-    modulus = config.modulus()
     if q1:
         print("== q=1 pipeline: certificate identities and brute-force oracle ==")
-        table = build_table(config.L_q1, QPoint(1, modulus))
-        table.save_text(out / f"cofactors-q1-n{config.L_q1}.txt")
-        ok = True
-        for rep in (
-            check_normalization(table),
-            check_soichi(table, config.L_q1),
-            check_okada(table, config.L_q1),
-            ct_check_q1(min(30, config.L_q1)),
-        ):
-            _report_out(config, rep, f"{rep.identity}-q1")
-            ok = ok and rep.passed
-        rc = cmd_verify(config, "brute")
-        return 0 if (ok and rc == 0) else 1
+        table, _ = _table_stage(config, 1, config.L_q1)
+        passed = [
+            _identity_reports(config, [table], q1=True),
+            _report_out(config, ct_check_q1(min(30, config.L_q1)), "ct-q1-q1"),
+            _brute_report(config),
+        ]
+        return 0 if all(passed) else 1
 
-    print("== stage 1: certificate table ==")
-    t0 = time.perf_counter()
-    table = _discovery_table(config, 2, None)
-    table.save_text(out / f"cofactors-q2-n{config.n_max}.txt")
-    print(f"table at q=2: {len(table)} values ({time.perf_counter() - t0:.2f}s)")
-
-    print("== stage 2: modular guess ==")
-    t0 = time.perf_counter()
-    rec = guess_modular(table, config.support())
-    save_recurrence(rec, out / "recurrence-modular-q2.json")
-    print(
-        f"nullspace dimension {rec.nullspace_dim}, zero coefficients "
-        f"{rec.zero_count()}/{len(rec.support)} ({time.perf_counter() - t0:.2f}s)"
-    )
-    if rec.nullspace_dim != 1:
-        print("pipeline stopped at stage 2: solution space is not one dimensional")
-        return 1
-
-    print("== stage 3: sweep and symbolic reconstruction ==")
-    t0 = time.perf_counter()
-    sym, _ = _symbolic_recurrence(config, rec)
-    maxc = sym.max_abs_coefficient()
-    print(
-        f"{len(sym.q_points_used)} q points, max |integer coefficient| = {maxc} "
-        f"({time.perf_counter() - t0:.2f}s)"
-    )
-    if maxc > MAX_ABS_COEFFICIENT:
-        print(
-            f"pipeline stopped at stage 3: max |coefficient| = {maxc} exceeds "
-            f"the plausibility bound {MAX_ABS_COEFFICIENT}"
-        )
-        return 1
-
-    print("== stage 4: recurrence verification ==")
-    lead = check_leading_factor_vanishing(sym)
-    _report_out(config, lead, "leading-factor")
-    ext2 = check_extended(sym, 2, config.prime, config.n_ext)
-    _report_out(config, ext2, "extended-q2")
     q_fresh = config.q_to + 1
-    ext_fresh = check_extended(sym, q_fresh, config.prime, max(config.n_ext // 2, config.n_max + 1))
-    _report_out(config, ext_fresh, f"extended-q{q_fresh}")
-    if not (lead.passed and ext2.passed and ext_fresh.passed):
-        print("pipeline stopped at stage 4: recurrence verification failed")
+    stage = 1
+    try:
+        print("== stage 1: certificate table ==")
+        table, _ = _table_stage(config, 2, config.n_max)
+        stage = 2
+        print("== stage 2: modular guess ==")
+        rec, _ = _guess_stage(config, table)
+        stage = 3
+        print("== stage 3: sweep and symbolic reconstruction ==")
+        sym, _ = _reconstruct_stage(config, rec)
+        stage = 4
+        print("== stage 4: recurrence verification ==")
+        passed = [
+            _report_out(config, check_leading_factor_vanishing(sym), "leading-factor"),
+            _extended_report(config, sym, 2, config.n_ext),
+            _extended_report(config, sym, q_fresh, max(config.n_ext // 2, config.n_max + 1)),
+        ]
+        if not all(passed):
+            raise GateFailed("recurrence verification failed")
+        stage = 5
+        print("== stage 5: identity suite ==")
+        if not _identity_reports(config, _identity_tables(config, q1=False), q1=False):
+            raise GateFailed("identity suite failed")
+    except GateFailed as exc:
+        print(f"pipeline stopped at stage {stage}: {exc}")
         return 1
 
-    print("== stage 5: identity suite ==")
-    tables = _identity_tables(config, q1=False)
-    reports = [
-        check_normalization(tables),
-        check_soichi(tables, config.L),
-        check_okada(tables, config.L),
-    ]
-    for rep in reports:
-        _report_out(config, rep, rep.identity)
-    if not all(r.passed for r in reports):
-        print("pipeline stopped at stage 5: identity suite failed")
-        return 1
-
-    print("== plausibility summary ==")
     print(
+        "== plausibility summary ==\n"
         f" 1. overdetermined system: {config.n_max * (config.n_max + 1) // 2} equations, "
-        f"{len(rec.support)} unknowns, nullspace dimension {rec.nullspace_dim}"
-    )
-    print(
-        f" 2. integer coefficients: max |c| = {maxc} <= {MAX_ABS_COEFFICIENT} "
-        f"(an artefact would be expected near sqrt(p) ~ {int(config.prime ** 0.5)})"
-    )
-    print(f" 3. top-shift coefficient factors: {'pass' if lead.passed else 'FAIL'}")
-    print(
-        f" 4. annihilates fresh table to n={config.n_ext} at q=2: "
-        f"{'pass' if ext2.passed else 'FAIL'}"
-    )
-    print(
-        f" 5. annihilates at unswept q={q_fresh}: "
-        f"{'pass' if ext_fresh.passed else 'FAIL'}"
+        f"{len(rec.support)} unknowns, nullspace dimension {rec.nullspace_dim}\n"
+        f" 2. integer coefficients: max |c| = {sym.max_abs_coefficient()} <= {MAX_ABS_COEFFICIENT} "
+        f"(an artefact would be expected near sqrt(p) ~ {int(config.prime ** 0.5)})\n"
+        " 3. top-shift coefficient factors: pass\n"
+        f" 4. annihilates fresh table to n={config.n_ext} at q=2: pass\n"
+        f" 5. annihilates at unswept q={q_fresh}: pass"
     )
     return 0
 
@@ -400,24 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    out_dir = args.out
-    if out_dir is None:
-        out_dir = Path(os.environ.get(OUT_DIR_ENV, "qtspp-out"))
-    kwargs = dict(
-        prime=args.prime,
-        n_max=args.n_max,
-        alpha_max=args.alpha_max,
-        beta_max=args.beta_max,
-        gamma_max=args.gamma_max,
-        q_from=args.q_from,
-        q_to=args.q_to,
-        n_ext=args.n_ext,
-        workers=args.workers,
-        out_dir=out_dir,
-    )
+    names = ("prime", "n_max", "alpha_max", "beta_max", "gamma_max", "q_from", "q_to", "n_ext",
+             "workers")
+    kwargs = {name: getattr(args, name) for name in names}
+    kwargs["out_dir"] = args.out or Path(os.environ.get(OUT_DIR_ENV, "qtspp-out"))
     if args.L is not None:
-        kwargs["L"] = args.L
-        kwargs["L_q1"] = args.L
+        kwargs.update(L=args.L, L_q1=args.L)
     return PipelineConfig(**kwargs)
 
 
@@ -428,19 +387,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         if args.command == "cofactors":
-            q = 1 if args.q1 else args.q
-            cmd_cofactors(config, q, binary=args.binary)
+            cmd_cofactors(config, 1 if args.q1 else args.q, binary=args.binary)
             return 0
         if args.command == "guess":
             cmd_guess(config, args.q, args.in_path)
             return 0
         if args.command == "reconstruct":
-            cmd_reconstruct(config, args.q)
+            cmd_reconstruct(config, args.q, args.in_path)
             return 0
         if args.command == "verify":
-            return cmd_verify(
-                config, args.which, args.q, args.in_path, args.q1, ct_bound=args.L
-            )
+            return cmd_verify(config, args.which, args.q, args.in_path, args.q1, ct_bound=args.L)
         if args.command == "pipeline":
             return cmd_pipeline(config, q1=args.q1)
         raise WorkbenchError(f"unknown command {args.command!r}")

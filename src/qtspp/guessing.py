@@ -82,18 +82,20 @@ class AnsatzSupport:
         terms = {tuple(int(x) for x in t) for t in self.terms}
         terms = tuple(sorted(terms, key=lambda t: t[::-1]))
         if not terms:
-            raise ValueError("support must contain at least one term")
+            raise InvalidInput("support must contain at least one term")
         for t in terms:
             if len(t) != 3:
-                raise ValueError(f"term {t} is not an (alpha, beta, gamma) triple")
+                raise InvalidInput(f"term {t} is not an (alpha, beta, gamma) triple")
             if any(x < 0 for x in t):
-                raise ValueError(f"negative exponent in term {t}")
+                raise InvalidInput(f"negative exponent in term {t}")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "bounds", tuple(int(b) for b in self.bounds))
 
     @classmethod
     def full(cls, alpha_max: int = 4, beta_max: int = 7, gamma_max: int = 10) -> "AnsatzSupport":
         """The complete grid of terms up to the given exponent bounds."""
+        if min(alpha_max, beta_max, gamma_max) < 0:
+            raise InvalidInput(f"negative ansatz bound in {(alpha_max, beta_max, gamma_max)}")
         terms = [
             (a, b, g)
             for g in range(gamma_max + 1)
@@ -269,9 +271,9 @@ def _specialized_coefficients(
     p = table.modulus.p
     if isinstance(rec, ModularRecurrence):
         if rec.prime != p:
-            raise ValueError("recurrence and table prime differ")
+            raise InvalidInput("recurrence and table prime differ")
         if rec.q_int != table.q_int:
-            raise ValueError(
+            raise InvalidInput(
                 f"modular recurrence is bound to q={rec.q_int}, table has q={table.q_int}"
             )
         return rec.coefficients
@@ -582,25 +584,34 @@ def save_recurrence(rec: ModularRecurrence | SymbolicRecurrence, path: str | Pat
     return path
 
 
+def _integers(values: list) -> list:
+    """values, or ValueError if one is not an integer (1.5 or "x" in a JSON file)."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{v!r} is not an integer")
+    return values
+
+
 def load_recurrence(path: str | Path) -> ModularRecurrence | SymbolicRecurrence:
-    """Read a recurrence file; an unreadable, incomplete or unknown one raises InvalidInput."""
+    """Read a recurrence file; InvalidInput if unreadable, incomplete, unknown or non-integer."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise InvalidInput(f"cannot read recurrence file {path}: {exc}") from exc
     try:
-        support = AnsatzSupport(tuple(tuple(t) for t in doc["support"]), tuple(doc["bounds"]))
+        terms = tuple(tuple(_integers(t)) for t in doc["support"])
+        support = AnsatzSupport(terms, tuple(doc["bounds"]))
         pivot, coefficients, prime = tuple(doc["pivot"]), doc["coefficients"], doc["prime"]
         qs = list(doc["q_points_used"])
         if doc["mode"] == "modular":
-            coefficients = np.array(coefficients, dtype=np.int64)
+            coefficients = np.array(_integers(coefficients), dtype=np.int64)
             dim = doc["metadata"]["nullspace_dim"]
             return ModularRecurrence(support, qs[0], prime, coefficients, pivot, dim)
         if doc["mode"] == "symbolic":
-            coefficients = [IntegerPoly(c) for c in coefficients]
+            coefficients = [IntegerPoly(_integers(c)) for c in coefficients]
             return SymbolicRecurrence(support, pivot, coefficients, prime, qs)
     except KeyError as exc:
         raise InvalidInput(f"recurrence file {path} has no {exc.args[0]!r} key") from exc
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed recurrence file {path}: {exc}") from exc
     raise InvalidInput(f"recurrence file {path} has unknown mode {doc['mode']!r}")

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from qtspp.cofactors import build_table, load_table
 from qtspp.fieldcore import IntegerPoly, PrimeModulus
 from qtspp.guessing import (
     AnsatzSupport,
+    ModularRecurrence,
     SymbolicRecurrence,
     load_recurrence,
     recurrence_to_json,
@@ -340,6 +343,69 @@ class TestBadInput:
         assert "q must be a positive integer, got -5" in err and str(gone) not in err
 
     @pytest.mark.parametrize(
+        "support, message",
+        [
+            ([[0, 0, 0], [0, 0, -1]], "negative exponent in term (0, 0, -1)"),
+            ([[0, 0, 0], [0, 1]], "term (0, 1) is not an (alpha, beta, gamma) triple"),
+            ([[0, 0, 0], [0, 0, 1.5]], "1.5 is not an integer"),
+        ],
+        ids=["negative", "pair", "fraction"],
+    )
+    def test_recurrence_bad_support_term(self, tmp_path, capsys, support, message):
+        path = self.recurrence_file(tmp_path, support=support)
+        err = self.verify_extended(tmp_path, capsys, path)
+        assert f"malformed recurrence file {path}" in err and message in err
+
+    def modular_recurrence_file(self, tmp_path, coefficients):
+        rec = ModularRecurrence(SMALL_RECURRENCE.support, 3, P.p, [1, P.p - 1], (0, 0, 0), 1)
+        doc = json.loads(recurrence_to_json(rec))
+        doc["coefficients"] = coefficients
+        path = tmp_path / "modular.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("mode", ["symbolic", "modular"])
+    @pytest.mark.parametrize("value, message", [(1.5, "1.5 is not an integer"),
+                                                ("x", "'x' is not an integer")])
+    def test_recurrence_non_integer_coefficient(self, tmp_path, capsys, mode, value, message):
+        # 1.5 used to be truncated to 1 without a word
+        if mode == "symbolic":
+            path = self.recurrence_file(tmp_path, coefficients=[[value], [-1]])
+        else:
+            path = self.modular_recurrence_file(tmp_path, [value, P.p - 1])
+        err = self.verify_extended(tmp_path, capsys, path)
+        assert f"malformed recurrence file {path}" in err and message in err
+        assert not (tmp_path / "report-extended-q3.json").exists()
+
+    def test_modular_recurrence_file_is_well_formed(self, tmp_path):
+        rec = load_recurrence(self.modular_recurrence_file(tmp_path, [1, P.p - 1]))
+        assert rec.q_int == 3 and list(rec.coefficients) == [1, P.p - 1]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--q", "3"], "modular recurrence is bound to q=2, table has q=3"),
+            (["--q", "2", "--prime", "3037000493"], "recurrence and table prime differ"),
+        ],
+        ids=["q", "prime"],
+    )
+    def test_mismatched_modular_recurrence(self, tmp_path, capsys, modular_rec, argv, message):
+        path = save_recurrence(modular_rec, tmp_path / "recurrence-modular-q2.json")
+        err = self.run(capsys, "verify", "extended", "--n-ext", "40", *argv,
+                       "--in", str(path), "--out", str(tmp_path))
+        assert message in err
+
+    @pytest.mark.parametrize("flag", ["--alpha-max", "--gamma-max"])
+    def test_negative_ansatz_bound(self, tmp_path, capsys, flag):
+        err = self.run(capsys, "guess", flag, "-1", "--out", str(tmp_path))
+        assert "negative ansatz bound" in err
+
+    def test_reconstruct_reads_its_table_file(self, tmp_path, capsys):
+        gone = tmp_path / "gone.txt"
+        err = self.run(capsys, "reconstruct", "--in", str(gone), "--out", str(tmp_path))
+        assert f"cannot read table file {gone}" in err
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["cofactors", "--q", "-3"], "q must be a positive integer, got -3"),
@@ -361,6 +427,83 @@ class TestPipelineQ1:
         out = capsys.readouterr().out
         assert "q=1 pipeline" in out
         assert (tmp_path / "cofactors-q1-n14.txt").exists()
+
+
+#: sha256 of every file `qtspp pipeline` writes at the default configuration.
+PIPELINE_SHA256 = {
+    "cofactors-q2-n35.txt": "6868df68c77339a576bced85b2adb8d2bc1b6d2833d4b9df38c51146bb22cb92",
+    "recurrence-modular-q2.json": "70b4cd12828e758064970de2fc932d9a841e15ae36de3a8812f3c346228a4a39",
+    "recurrence-symbolic.json": "6eac503d9732e13127a291a526cb5d5d9fc91e9026a26b68d3ddd3b2e9955a25",
+    "report-extended-q151.json": "a3b1f0406466db07e0363afd989631318874edbcbfc80daf5db5c15df5261604",
+    "report-extended-q2.json": "2c53115a2cc6850a4419df96845a4e510ba0e7e6631c8c6ad1d783e60b9386b4",
+    "report-leading-factor.json": "dd621a1634d15ca2d2ca5d13c000ceeb8d4deb95e5f0c61804c310ddf2d6ae4c",
+    "report-normalization.json": "cc11ea998e30da26767455defe3e7a25f2a04f246c151eabca6c603297f2a914",
+    "report-okada.json": "d6787f27edc8b3b6dc381f691382896dc9b5e0263b5d1ecf4c2cf189e946b1a8",
+    "report-soichi.json": "d86112ea37021622df1fb6a5d8847433311f7ce64be1717ed56db0120c3dc510",
+}
+
+#: sha256 of every file `qtspp pipeline --q1` writes at the default configuration.
+PIPELINE_Q1_SHA256 = {
+    "cofactors-q1-n60.txt": "24532427ab687a3087f875422b0a6af21eed08e326abce81632361b25ca1c539",
+    "report-brute.json": "fa2517ea7f0bc8aa44da7ab2f23472392e71bc856d5db3005e299cba6bf0f873",
+    "report-ct-q1-q1.json": "39e37c062752434fd2076300b9a6bd4f44641e24f4478ad21cb0042a33406e2b",
+    "report-normalization-q1.json": "9e8fc7e0ef855bfdd7c7eb77c7c485efe0308ee39b2fd2ba35e0d68b781a39bd",
+    "report-okada-q1.json": "737f42e17fd4c15d6c11f6df08f3fc7d606594547bfc8778adffa9faf93c0749",
+    "report-soichi-q1.json": "cd11dc34858521c59dc38bc2158fb06dacb6ff561277857f2fb080f5c95b910a",
+}
+
+
+def digests(directory: Path) -> dict[str, str]:
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in directory.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def fixture_sweep(refined, modular_rec, sweep_recs):
+    """A stand-in for cli.sweep that checks its arguments and returns the session sweep."""
+
+    def stub(support, q_from, q_to, *, p, n_max, pivot_term, workers):
+        assert (support, q_from, q_to) == (refined, 2, 150)
+        assert (p, n_max, pivot_term) == (P.p, 35, modular_rec.pivot_term)
+        return sweep_recs
+
+    return stub
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory, fixture_sweep):
+    out = tmp_path_factory.mktemp("pipeline")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "sweep", fixture_sweep)
+        assert cmd_pipeline(PipelineConfig(out_dir=out)) == 0
+    return out
+
+
+class TestPipelineArtifacts:
+    """Every file of the default pipeline runs, pinned by digest."""
+
+    def test_pipeline_files(self, pipeline_dir):
+        assert digests(pipeline_dir) == PIPELINE_SHA256
+
+    def test_q1_pipeline_files(self, tmp_path):
+        assert cmd_pipeline(PipelineConfig(out_dir=tmp_path), q1=True) == 0
+        assert digests(tmp_path) == PIPELINE_Q1_SHA256
+
+    def test_flipped_byte_fails(self, tmp_path, pipeline_dir):
+        shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+        target = tmp_path / "report-extended-q151.json"
+        data = bytearray(target.read_bytes())
+        data[len(data) // 2] ^= 1
+        target.write_bytes(bytes(data))
+        assert digests(tmp_path) != PIPELINE_SHA256
+
+    def test_reconstruct_from_table_file(self, tmp_path, capsys, monkeypatch, fixture_sweep):
+        # reconstruct reads --in like guess does, and writes the stage 2 file too
+        monkeypatch.setattr(cli, "sweep", fixture_sweep)
+        tfile = cmd_cofactors(config(tmp_path), 2)
+        assert main(["reconstruct", "--in", str(tfile), "--out", str(tmp_path)]) == 0
+        assert "wrote" in capsys.readouterr().out
+        for name in ("recurrence-modular-q2.json", "recurrence-symbolic.json"):
+            assert digests(tmp_path)[name] == PIPELINE_SHA256[name]
 
 
 class TestPlausibilityGate:
