@@ -14,8 +14,10 @@ arrays with an explicit p; a polynomial over GF(p) is a list of residues,
 lowest degree first, and IntegerPoly holds the lifted integer result.
 
 The modulus is kept small enough that a product of two residues never
-overflows a signed 64-bit word, so elimination needs only elementwise
-multiply / subtract / mod steps.
+overflows a signed 64-bit word, so elementwise multiply / subtract / mod
+steps are exact.  The matrix products of the blocked elimination split one
+factor into 16-bit limbs: each limb product is below 2**16 * MAX_MODULUS
+< 2**47.5, so sums of up to 2**15 of them stay exact in int64.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ class NoReconstruction(WorkbenchError):
     """No rational number within the symmetric bound has this residue."""
 
 
+@lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
+    """Primality by trial division, memoized: each modulus is tested once."""
     if n < 2:
         return False
     if n < 4:
@@ -196,38 +200,83 @@ def leading_kernels_mod(a: np.ndarray, p: int) -> dict[int, np.ndarray]:
     return out
 
 
+#: Columns per panel of the blocked elimination in _echelon_mod.
+_PANEL = 40
+
+#: Rows per trailing product update in _echelon_mod; bounds the product's
+#: temporaries to _ROWS rows, so peak memory stays that of the unblocked loop.
+_ROWS = 128
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b over GF(p) for residue arrays, exact in int64.
+
+    a is split into 16-bit limbs; each limb product is below
+    2**16 * MAX_MODULUS < 2**47.5, so inner dimensions up to 2**15 cannot
+    overflow.  numpy's integer matmul does not call BLAS.
+    """
+    return ((a >> 16) @ b % p * 65536 + (a & 0xFFFF) @ b % p) % p
+
+
 def _echelon_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     """Row echelon form of a over GF(p): (u, pivot columns, det).
 
     Forward elimination with row swaps: each pivot is the first nonzero
     entry at or below the next pivot row, in the first column that has one,
-    scaled to 1.  Only the rows below and the columns right of a pivot are
-    updated, so the working set shrinks every step.  det is the product of
-    the pivots, its sign set by the row swaps; it is a's determinant when a
-    is square and every column pivots.
+    scaled to 1.  det is the product of the pivots, its sign set by the row
+    swaps; it is a's determinant when a is square and every column pivots.
+
+    The elimination is blocked (right-looking, as in FFLAS-FFPACK): columns
+    go in panels of _PANEL.  Inside a panel the pivots are found column by
+    column on the panel's columns only, swapping whole rows and keeping
+    each multiplier in its eliminated column.  The panel's pivot rows are
+    then solved on the trailing columns by the panel's unit lower triangle,
+    each scaled by its pivot's inverse, and the rows below take the product
+    update u[k1:, c1:] -= L21 @ U12 through _mul_mod, _ROWS rows at a time.
+    Every pivot still sees a fully updated column, so u, the pivots and det
+    are those of the column-by-column elimination.
     """
     u = a % p
     rows, cols = u.shape
     pivots: list[int] = []
     det = 1
-    for c in range(cols):
-        k = len(pivots)
-        if k == rows:
-            break
-        nz = np.nonzero(u[k:, c])[0]
-        if nz.size == 0:
+    for c0 in range(0, cols, _PANEL):
+        c1 = min(c0 + _PANEL, cols)
+        k0 = len(pivots)
+        inverses = []
+        for c in range(c0, c1):
+            k = len(pivots)
+            if k == rows:
+                break
+            nz = np.nonzero(u[k:, c])[0]
+            if nz.size == 0:
+                continue
+            r = k + int(nz[0])
+            if r != k:
+                u[[k, r], c0:] = u[[r, k], c0:]
+                det = -det
+            piv = int(u[k, c])
+            det = det * piv % p
+            inv = _inv_mod(piv, p)
+            u[k, c:c1] = u[k, c:c1] * inv % p
+            below = u[k + 1 :, c + 1 : c1]
+            below -= np.outer(u[k + 1 :, c], u[k, c + 1 : c1])
+            below %= p
+            pivots.append(c)
+            inverses.append(inv)
+        k1 = len(pivots)
+        if k1 == k0:
             continue
-        r = k + int(nz[0])
-        if r != k:
-            u[[k, r], c:] = u[[r, k], c:]
-            det = -det
-        piv = int(u[k, c])
-        det = det * piv % p
-        u[k, c:] = u[k, c:] * _inv_mod(piv, p) % p
-        below = u[k + 1 :, c:]
-        below -= np.outer(below[:, 0], u[k, c:])
-        below %= p
-        pivots.append(c)
+        # the panel's pivot columns: multipliers below the unit diagonal
+        lower = u[k0:, pivots[k0:]]
+        top = u[k0:k1, c1:]
+        for j, inv in enumerate(inverses):
+            top[j] = (top[j] - _mul_mod(lower[j, :j], top[:j], p)) * inv % p
+        for r in range(k1, rows, _ROWS):
+            rest = u[r : r + _ROWS, c1:]
+            rest -= _mul_mod(lower[r - k0 : r - k0 + _ROWS], top, p)
+            rest %= p
+        u[k0:, pivots[k0:]] = np.triu(lower)
     return u, pivots, det
 
 

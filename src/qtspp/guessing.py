@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,7 +80,10 @@ class AnsatzSupport:
     bounds: tuple[int, ...] = (4, 7, 10)
 
     def __post_init__(self):
-        terms = {tuple(int(x) for x in t) for t in self.terms}
+        try:
+            terms = {tuple(operator.index(x) for x in t) for t in self.terms}
+        except TypeError as exc:
+            raise InvalidInput(f"ansatz exponents must be integers: {exc}") from None
         terms = tuple(sorted(terms, key=lambda t: t[::-1]))
         if not terms:
             raise InvalidInput("support must contain at least one term")

@@ -1,13 +1,17 @@
+import logging
 import math
 import random
 
 import numpy as np
 import pytest
 
+from qtspp import fieldcore, guessing
 from qtspp.fieldcore import (
+    DEFAULT_PRIME,
     MAX_MODULUS,
     PoleAtSample,
     DuplicateAbscissa,
+    InvalidInput,
     NoFit,
     NoReconstruction,
     PrimeModulus,
@@ -57,6 +61,14 @@ class TestPrimeModulus:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeModulus(2**31 - 3)  # 3 * 715827881...
+
+    def test_primality_is_memoized(self):
+        for _ in range(2):
+            for bad in (4, 2**31 - 3, MAX_MODULUS + 2):
+                with pytest.raises(InvalidInput):
+                    PrimeModulus(bad)
+            assert PrimeModulus(BIG_P).p == BIG_P
+        assert _is_prime.cache_info().hits >= 3
 
     def test_rejects_tiny_and_huge(self):
         with pytest.raises(ValueError):
@@ -234,6 +246,27 @@ def det_cofactor_expansion(a: np.ndarray, p: int) -> int:
     return total
 
 
+def det_exact(a: np.ndarray, p: int) -> int:
+    """Independent oracle: Gaussian elimination mod p on Python integers."""
+    m = [[int(x) % p for x in row] for row in a]
+    n = len(m)
+    det = 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if m[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = m[r][c] * inv % p
+            if f:
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
+    return det % p
+
+
 class TestDeterminant:
     def test_identity(self):
         for n in (1, 2, 5):
@@ -251,6 +284,121 @@ class TestDeterminant:
             for _ in range(5):
                 a = rng.integers(0, P.p, size=(n, n))
                 assert det_mod(a, P.p) == det_cofactor_expansion(a, P.p)
+
+
+def echelon_unblocked(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
+    """Reference: the column-by-column elimination _echelon_mod blocks.
+
+    One outer-product update of the whole trailing block per pivot.
+    """
+    u = a % p
+    rows, cols = u.shape
+    pivots: list[int] = []
+    det = 1
+    for c in range(cols):
+        k = len(pivots)
+        if k == rows:
+            break
+        nz = np.nonzero(u[k:, c])[0]
+        if nz.size == 0:
+            continue
+        r = k + int(nz[0])
+        if r != k:
+            u[[k, r], c:] = u[[r, k], c:]
+            det = -det
+        piv = int(u[k, c])
+        det = det * piv % p
+        u[k, c:] = u[k, c:] * pow(piv, -1, p) % p
+        below = u[k + 1 :, c:]
+        below -= np.outer(below[:, 0], u[k, c:])
+        below %= p
+        pivots.append(c)
+    return u, pivots, det
+
+
+def same_echelon(a: np.ndarray, p: int) -> bool:
+    u, pivots, det = fieldcore._echelon_mod(a, p)
+    ref_u, ref_pivots, ref_det = echelon_unblocked(a, p)
+    return np.array_equal(u, ref_u) and pivots == ref_pivots and det == ref_det
+
+
+def echelon_cases(p: int):
+    """(name, matrix) pairs covering one panel, several panels and edge cases."""
+    rng = np.random.default_rng(p % 1000)
+    for shape in ((7, 12), (40, 40), (30, 41), (41, 41), (329, 330), (330, 630)):
+        yield f"random {shape}", rng.integers(0, p, size=shape)
+    yield "rows fewer than a panel", rng.integers(0, p, size=(25, 330))
+    zeros = rng.integers(0, p, size=(100, 120))
+    zeros[:, [39, 40, 79, 80]] = 0
+    yield "zero columns on panel boundaries", zeros
+    base = rng.integers(0, p, size=(150, 200))
+    pairs = rng.integers(0, 150, size=(50, 2))
+    mixed = np.vstack([base, (base[pairs[:, 0]] + base[pairs[:, 1]]) % p])
+    yield "rank-deficient 200x200", mixed[rng.permutation(200)]
+    yield "small entries, frequent row swaps", rng.integers(0, 3, size=(150, 160))
+    yield "all entries p - 1", np.full((90, 130), p - 1, dtype=np.int64)
+
+
+class TestBlockedEchelon:
+    """_echelon_mod against the unblocked reference, and its fault gates."""
+
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, BIG_P])
+    def test_matches_the_unblocked_reference(self, p):
+        for name, a in echelon_cases(p):
+            assert same_echelon(a, p), name
+
+    def test_ranks_of_the_edge_cases(self):
+        ranks = {name: len(fieldcore._echelon_mod(a, P.p)[1]) for name, a in echelon_cases(P.p)}
+        assert ranks["zero columns on panel boundaries"] == 100
+        assert ranks["rank-deficient 200x200"] == 150
+        assert ranks["all entries p - 1"] == 1
+
+    def test_matches_on_the_real_systems(self, table_q2, full_support, refined):
+        guess = guessing.build_equations(table_q2, full_support)
+        assert guess.shape == (630, 440)
+        assert same_echelon(guess, P.p)
+        rows = guessing._fixed_rows(refined, 2, 150, P.p, 35)
+        table, _ = guessing._point_table(3, P.p, 35)
+        point = guessing.build_equations(table, refined)[rows]
+        assert point.shape == (329, 330)
+        assert same_echelon(point, P.p)
+
+    @staticmethod
+    def corrupt_products(monkeypatch):
+        """Make every nonempty _mul_mod product wrong by 1 in its first entry."""
+        clean = fieldcore._mul_mod
+
+        def corrupted(a, b, p):
+            out = clean(a, b, p)
+            if out.size:
+                out.flat[0] = (out.flat[0] + 1) % p
+            return out
+
+        monkeypatch.setattr(fieldcore, "_mul_mod", corrupted)
+
+    def test_corrupted_product_fails_the_reference(self, monkeypatch):
+        a = np.random.default_rng(5).integers(0, P.p, size=(100, 120))
+        assert same_echelon(a, P.p)
+        self.corrupt_products(monkeypatch)
+        assert not same_echelon(a, P.p)
+
+    def test_corrupted_product_never_reaches_the_sweep(
+        self, refined, modular_rec, monkeypatch, caplog
+    ):
+        # the fixed-row certificate is a matvec_mod residual on all 630 rows,
+        # which no _mul_mod product enters
+        rows = guessing._fixed_rows(refined, 2, 150, P.p, 35)
+        jobs = [(q, P.p, 35, refined, modular_rec.pivot_term) for q in (2, 3, 4)]
+        clean = [guessing._sweep_one(job, rows) for job in jobs]
+        assert all(r[1] is not None for r in clean)
+        self.corrupt_products(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="qtspp.guessing"):
+            for job, want in zip(jobs, clean):
+                got = guessing._sweep_one(job, rows)
+                assert got[1] is None or np.array_equal(got[1], want[1])
+        assert [r.getMessage() for r in caplog.records if r.name == "qtspp.guessing"] == [
+            f"sweep q={q}: nonzero residual, falling back to the nullspace" for q in (2, 3, 4)
+        ]
 
 
 class TestLargestModulus:
@@ -275,18 +423,15 @@ class TestLargestModulus:
 
     def test_nullspace_round_trip(self):
         rng = np.random.default_rng(19)
-        for rows, cols, rank in ((30, 50, 12), (60, 40, 25)):
-            left = self.near_p(rng, (rows, rank))
-            right = self.near_p(rng, (rank, cols))
-            a = np.array(
-                [[sum(int(u) * int(v) for u, v in zip(r, c)) % BIG_P for c in right.T]
-                 for r in left],
-                dtype=np.int64,
-            )
+        # the last system spans several panels of the blocked elimination
+        for rows, cols, rank in ((30, 50, 12), (60, 40, 25), (130, 200, 90)):
+            left = self.near_p(rng, (rows, rank)).astype(object)
+            right = self.near_p(rng, (rank, cols)).astype(object)
+            a = (left @ right % BIG_P).astype(np.int64)
             basis = nullspace_mod(a, BIG_P)
             assert len(basis) == cols - rank
+            assert not (a.astype(object) @ basis.T.astype(object) % BIG_P).any()
             for x in basis:
-                assert not any(matvec_exact(a, x, BIG_P))
                 assert not matvec_mod(a, x, BIG_P).any()
 
     def test_last_kernel_round_trip(self):
@@ -301,6 +446,10 @@ class TestLargestModulus:
         for n in range(1, 7):
             a = self.near_p(rng, (n, n))
             assert det_mod(a, BIG_P) == det_cofactor_expansion(a, BIG_P)
+
+    def test_multi_panel_det_against_exact_elimination(self):
+        a = self.near_p(np.random.default_rng(43), (100, 100))
+        assert det_mod(a, BIG_P) == det_exact(a, BIG_P) != 0
 
     def test_matvec_matches_exact(self):
         rng = np.random.default_rng(29)

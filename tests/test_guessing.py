@@ -8,7 +8,14 @@ import pytest
 
 from qtspp import cli, fieldcore, guessing
 from qtspp.cofactors import CofactorTable, build_table
-from qtspp.fieldcore import IntegerPoly, PrimeModulus, WorkbenchError, matvec_mod, nullspace_mod
+from qtspp.fieldcore import (
+    IntegerPoly,
+    InvalidInput,
+    PrimeModulus,
+    WorkbenchError,
+    matvec_mod,
+    nullspace_mod,
+)
 from qtspp.guessing import (
     AnsatzSupport,
     InsufficientData,
@@ -66,6 +73,13 @@ class TestAnsatzSupport:
     def test_rejects_mixed_arity(self):
         with pytest.raises(ValueError):
             AnsatzSupport(((0, 0, 0), (0, 0, 0, 0)))
+
+    def test_rejects_non_integer_exponents(self):
+        for terms in (((1.5, 0, 0), (0, 0, 2.7)), ((0, 0, 2.0),), ((0, "1", 0),)):
+            with pytest.raises(InvalidInput):
+                AnsatzSupport(terms)
+        sup = AnsatzSupport(((np.int64(1), np.int32(0), 1),))
+        assert sup.terms == ((1, 0, 1),) and all(type(x) is int for x in sup.terms[0])
 
     def test_subset_keeps_bounds(self):
         sup = AnsatzSupport.full()
