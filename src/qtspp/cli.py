@@ -123,6 +123,10 @@ def _discovery_table(config: PipelineConfig, q_int: int, in_path: Path | None) -
     if in_path is None:
         return _table(config.modulus(), q_int, config.n_max)
     table = load_table(in_path)
+    if table.modulus.p != config.prime:
+        raise InvalidInput(
+            f"table in {in_path} is at p={table.modulus.p}, but --prime is {config.prime}"
+        )
     if table.n_max < config.n_max:
         raise WorkbenchError(f"table in {in_path} covers only n <= {table.n_max}")
     return table.truncated(config.n_max)

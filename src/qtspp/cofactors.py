@@ -7,12 +7,14 @@ row n is the unique vector x with x[n] = 1 that is orthogonal to rows
 The rows are nested kernels of one matrix, so one GF(p) elimination yields
 every row whose leading minor is a unit mod p.  The others share one
 elimination mod p**PADIC_PRECISION on unit pivots, then take one small Schur
-complement solve each (PrecisionExhausted when those digits run out).
-Every row is re-checked against the orthogonality identity, a lifted row
-also mod p**PADIC_PRECISION before it is reduced mod p.
+complement solve each (PrecisionExhausted when those digits run out), and
+are re-checked mod p**PADIC_PRECISION before they are reduced mod p.
 
-Independent oracles: direct determinant elimination, the telescoped
-certificate product, and a minors-based cofactor computation at small sizes.
+Okada's identity is one matrix product, certificate_product: R = A B^T, A
+the entry matrix and B the table, is lower triangular (orthogonality) with
+the layer ratios on its diagonal; build_table, the identity checks and
+det_certified all read R.  Independent oracles: direct determinant
+elimination and a minors-based cofactor computation at small sizes.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .fieldcore import (
     SingularMatrix,
     WorkbenchError,
     _inv_mod,
+    _mul_mod,
     det_mod,
     leading_kernels_mod,
-    matvec_mod,
 )
 from .okada import QPoint, entry_matrix, okada_slice
 
@@ -45,25 +47,24 @@ _BINARY_MAGIC = b"QTB1"
 class CofactorTable:
     """Triangular map (n, j) -> B(n, j) residue for 1 <= j <= n <= n_max.
 
-    Values for j <= 0 and j > n read as 0 (the zero extension the recurrence
+    Stored as one lower-triangular int64 array b[n, j], 1-based, so values
+    for j <= 0 and j > n read as 0 (the zero extension the recurrence
     machinery relies on).  Instances are immutable; perturbed copies for
     fault-injection tests come from with_value().
     """
 
-    __slots__ = ("n_max", "q_int", "modulus", "_rows")
+    __slots__ = ("n_max", "q_int", "modulus", "_b")
 
-    def __init__(self, n_max: int, q_int: int, modulus: PrimeModulus, rows: list[np.ndarray]):
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if len(rows) != n_max:
-            raise ValueError("row count does not match n_max")
-        self.n_max = n_max
+    def __init__(self, q_int: int, modulus: PrimeModulus, b: np.ndarray):
+        b = np.mod(np.asarray(b, dtype=np.int64), modulus.p)
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 2:
+            raise ValueError(f"table array must be square with n_max >= 1, got shape {b.shape}")
+        if b[0].any() or b[:, 0].any() or np.triu(b, 1).any():
+            raise ValueError("table array has entries outside 1 <= j <= n")
+        self.n_max = b.shape[0] - 1
         self.q_int = q_int
         self.modulus = modulus
-        self._rows = [np.mod(np.asarray(r, dtype=np.int64), modulus.p) for r in rows]
-        for n, r in enumerate(self._rows, start=1):
-            if r.shape != (n,):
-                raise ValueError(f"row {n} has wrong length {r.shape}")
+        self._b = b
 
     def qpoint(self) -> QPoint:
         return QPoint(self.q_int, self.modulus)
@@ -72,26 +73,21 @@ class CofactorTable:
         """Residue of B(n, j); zero outside 1 <= j <= n."""
         if not 1 <= n <= self.n_max:
             raise IndexError(f"row {n} outside table (n_max={self.n_max})")
-        if j < 1 or j > n:
-            return 0
-        return int(self._rows[n - 1][j - 1])
+        return int(self._b[n, j]) if 1 <= j <= n else 0
 
     def row(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.n_max:
             raise IndexError(f"row {n} outside table (n_max={self.n_max})")
-        return self._rows[n - 1].copy()
+        return self._b[n, 1 : n + 1].copy()
 
     def padded(self, extra_cols: int = 0) -> np.ndarray:
         """Array B with B[n, j] = value(n, j), zero padded, 1-based indices."""
-        out = np.zeros((self.n_max + 1, self.n_max + extra_cols + 1), dtype=np.int64)
-        for n in range(1, self.n_max + 1):
-            out[n, 1 : n + 1] = self._rows[n - 1]
-        return out
+        return np.pad(self._b, ((0, 0), (0, extra_cols)))
 
     def items(self):
-        for n in range(1, self.n_max + 1):
+        for n, row in enumerate(self._b.tolist()[1:], start=1):
             for j in range(1, n + 1):
-                yield n, j, int(self._rows[n - 1][j - 1])
+                yield n, j, row[j]
 
     def __len__(self):
         return self.n_max * (self.n_max + 1) // 2
@@ -100,22 +96,21 @@ class CofactorTable:
         """Copy with one entry replaced (negative-control helper)."""
         if not (1 <= j <= n <= self.n_max):
             raise IndexError("entry outside the triangular domain")
-        rows = [r.copy() for r in self._rows]
-        rows[n - 1][j - 1] = value % self.modulus.p
-        return CofactorTable(self.n_max, self.q_int, self.modulus, rows)
+        b = self._b.copy()
+        b[n, j] = value % self.modulus.p
+        return CofactorTable(self.q_int, self.modulus, b)
 
     def truncated(self, n_max: int) -> "CofactorTable":
         if not 1 <= n_max <= self.n_max:
             raise ValueError("bad truncation bound")
-        return CofactorTable(n_max, self.q_int, self.modulus, self._rows[:n_max])
+        return CofactorTable(self.q_int, self.modulus, self._b[: n_max + 1, : n_max + 1])
 
     def __eq__(self, other):
         return (
             isinstance(other, CofactorTable)
-            and self.n_max == other.n_max
             and self.q_int == other.q_int
             and self.modulus.p == other.modulus.p
-            and all(np.array_equal(a, b) for a, b in zip(self._rows, other._rows))
+            and np.array_equal(self._b, other._b)
         )
 
     def __repr__(self):
@@ -154,7 +149,7 @@ def _table_from_triples(q_int: int, p: int, n_max: int, triples: list) -> Cofact
     # the count is checked first, so a header's n_max allocates nothing the file lacks
     if len(triples) != n_max * (n_max + 1) // 2:
         raise ValueError(f"expected {n_max * (n_max + 1) // 2} triples, got {len(triples)}")
-    rows = [np.zeros(n, dtype=np.int64) for n in range(1, n_max + 1)]
+    b = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
     seen = set()
     for n, j, v in triples:
         if not (1 <= j <= n <= n_max):
@@ -162,8 +157,8 @@ def _table_from_triples(q_int: int, p: int, n_max: int, triples: list) -> Cofact
         if (n, j) in seen:
             raise ValueError(f"position ({n}, {j}) appears twice")
         seen.add((n, j))
-        rows[n - 1][j - 1] = v % p
-    return CofactorTable(n_max, q_int, modulus, rows)
+        b[n, j] = v % p
+    return CofactorTable(q_int, modulus, b)
 
 
 def load_table(path: str | Path) -> CofactorTable:
@@ -293,15 +288,15 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     p**PADIC_PRECISION to an untouched entry matrix before its least p-power
     is divided out, leaving p**s times the rational row (s > 0 is seen only
     by the normalization check: every other identity is homogeneous within
-    a row).  A row failing an orthogonality check raises SingularMatrix with
-    the offending n.
+    a row).  Every row is then checked at once: the certificate product
+    must vanish above its diagonal, or SingularMatrix names the first row
+    that fails, as does a lifted row failing its check mod p**PADIC_PRECISION.
     """
     if n_max < 1:
         raise InvalidInput("n_max must be >= 1")
     p = qpt.modulus.p
     pk = p**PADIC_PRECISION
-    a = okada_slice(n_max, qpt)
-    rows = leading_kernels_mod(a, p)
+    rows = leading_kernels_mod(okada_slice(n_max, qpt), p)
     lifted = [n for n in range(2, n_max + 1) if n not in rows]
     if lifted:  # rows < n - 1 and columns < n of the entry matrix serve row n
         whole = entry_matrix(lifted[-1], qpt.q_int, pk).tolist()[:-1]
@@ -321,10 +316,29 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
             s = _valuation(y[-1], p) - low
             if s:
                 log.info("row n=%d at q=%d stored as p**%d times the rational row", n, qpt.q_int, s)
-            rows[n] = np.array([v // p**low % p for v in y], dtype=np.int64)
-        if matvec_mod(a[: n - 1, :n], rows[n], p).any():
-            raise SingularMatrix(f"row n={n} fails the orthogonality identity at q={qpt.q_int}", n)
-    return CofactorTable(n_max, qpt.q_int, qpt.modulus, [rows[n] for n in range(1, n_max + 1)])
+            rows[n] = [v // p**low % p for v in y]
+    b = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
+    for n, x in rows.items():
+        b[n, 1 : n + 1] = x
+    table = CofactorTable(qpt.q_int, qpt.modulus, b)
+    bad = np.nonzero(np.triu(certificate_product(table, n_max), 1).any(axis=0))[0]
+    if bad.size:
+        n = int(bad[0]) + 1
+        raise SingularMatrix(f"row n={n} fails the orthogonality identity at q={qpt.q_int}", n)
+    return table
+
+
+def certificate_product(table: CofactorTable, L: int) -> np.ndarray:
+    """R = A B^T mod p for n <= L, A the entry matrix and B the table.
+
+    R[i-1, n-1] is the sum over j of a(i, j) B(n, j).  Orthogonality of every
+    row n <= L says R is lower triangular; its diagonal holds the layer
+    ratios (Okada's identity), whose product is the determinant.
+    """
+    if L > table.n_max:
+        raise ValueError(f"table at q={table.q_int} covers only n <= {table.n_max}")
+    b = table._b[1 : L + 1, 1 : L + 1]
+    return _mul_mod(okada_slice(L, table.qpoint()), b.T, table.modulus.p)
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +354,13 @@ def det_direct(n: int, qpt: QPoint) -> int:
 
 
 def det_certified(n: int, table: CofactorTable) -> int:
-    """Telescoped determinant: product over m <= n of the certificate sums."""
+    """Telescoped determinant: the product of the first n layer ratios, diag R."""
     if n < 1:
         raise ValueError("n must be positive")
-    if table.n_max < n:
-        raise ValueError(f"table covers n <= {table.n_max} < {n}")
-    qpt = table.qpoint()
-    p = qpt.modulus.p
-    a = okada_slice(n, qpt)
+    p = table.modulus.p
     acc = 1
-    for m in range(1, n + 1):
-        s = int((a[m - 1, :m] * table._rows[m - 1] % p).sum() % p)
-        acc = acc * s % p
+    for v in np.diagonal(certificate_product(table, n)).tolist():
+        acc = acc * v % p
     return acc
 
 

@@ -12,10 +12,12 @@ Python ints modulo a prime power (the p-adic rows of the certificate
 table).  Gaussian binomials are computed through the q-Pascal recurrence,
 which evaluates the underlying polynomial and is therefore well defined for
 every q point, even one of small multiplicative order (2 has order 31
-modulo 2**31 - 1).  The two product formulas genuinely divide by factors
-1 - q**m and raise DegenerateDenominator on q points whose order makes a
-denominator factor vanish; callers pick q points of large order for those
-checks.
+modulo 2**31 - 1).  Both product formulas are built from one telescoped
+layer, _layer(n) = prod over i <= n of (1 - q**(2n+i-1)) / (1 - q**(n+2i-2)):
+the layer ratio is its square and the orbit product the product of layers
+1..n.  They genuinely divide by the factors 1 - q**(n+2i-2) and raise
+DegenerateDenominator on q points whose order divides one of those
+exponents; callers pick q points of large order for those checks.
 """
 
 from __future__ import annotations
@@ -172,52 +174,26 @@ def okada_slice(n: int, qpt: QPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_factor_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Multiplicities of numerator / denominator factors of the orbit product.
+def _layer(n: int, qpt: QPoint) -> int:
+    """The k = n layer of the orbit product, telescoped over j.
 
-    Factor index m means 1 - q**m (or the integer m at q = 1); numerator
-    exponents are i+j+k-1 and denominator exponents i+j+k-2 over sorted
-    triples 1 <= i <= j <= k <= n, counted with a difference array over the
-    contiguous k ranges.
-    """
-    num = np.zeros(3 * n + 2, dtype=np.int64)
-    den = np.zeros(3 * n + 2, dtype=np.int64)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            # k runs j..n
-            num[i + 2 * j - 1] += 1
-            num[i + j + n] -= 1
-            den[i + 2 * j - 2] += 1
-            den[i + j + n - 1] -= 1
-    return np.cumsum(num), np.cumsum(den)
-
-
-def _product_of_factors(num_counts: np.ndarray, den_counts: np.ndarray, qpt: QPoint) -> int:
-    """prod f(m)**num[m] / prod f(m)**den[m] over equal-length count arrays.
-
-    The factor is f(m) = 1 - q**m, or the integer m at q = 1.
+    prod over i <= n of (1 - q**(2n+i-1)) / (1 - q**(n+2i-2)), the factor
+    1 - q**m reading m at q = 1.  A vanishing denominator factor raises
+    DegenerateDenominator.
     """
     p = qpt.modulus.p
-    numerator = 1
-    denominator = 1
-    qm = 1
-    for m in range(1, len(num_counts)):
-        qm = qm * qpt.reduced % p
-        nc, dc = int(num_counts[m]), int(den_counts[m])
-        if nc == 0 and dc == 0:
-            continue
-        base = m % p if qpt.is_unit else (1 - qm) % p
-        if base == 0:
-            if dc > 0:
-                raise DegenerateDenominator(
-                    f"1 - q**{m} = 0 mod p at q={qpt.q_int} (order {qpt.order})"
-                )
-            return 0
-        if nc:
-            numerator = numerator * pow(base, nc, p) % p
-        if dc:
-            denominator = denominator * pow(base, dc, p) % p
-    return numerator * _inv_mod(denominator, p) % p
+    # factor[m] is 1 - q**m, or m at q = 1, for m < 3n
+    factor = range(3 * n) if qpt.is_unit else [1 - x for x in qpt.qpow(3 * n - 1).tolist()]
+    num = den = 1
+    for i in range(1, n + 1):
+        d = factor[n + 2 * i - 2] % p
+        if d == 0:
+            raise DegenerateDenominator(
+                f"1 - q**{n + 2 * i - 2} = 0 mod p at q={qpt.q_int} (order {qpt.order})"
+            )
+        num = num * factor[2 * n + i - 1] % p
+        den = den * d % p
+    return num * _inv_mod(den, p) % p
 
 
 def qtspp_orbit_product(n: int, qpt: QPoint) -> int:
@@ -229,7 +205,10 @@ def qtspp_orbit_product(n: int, qpt: QPoint) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _product_of_factors(*_orbit_factor_counts(n), qpt)
+    acc = 1
+    for k in range(1, n + 1):
+        acc = acc * _layer(k, qpt) % qpt.modulus.p
+    return acc
 
 
 def qtspp_count_exact(n: int) -> int:
@@ -245,27 +224,18 @@ def qtspp_count_exact(n: int) -> int:
     return acc.numerator
 
 
-def _nice_ratio_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    num = np.zeros(3 * n, dtype=np.int64)
-    den = np.zeros(3 * n, dtype=np.int64)
-    for s in range(2, 2 * n + 1):
-        c = s // 2 - max(1, s - n) + 1
-        if c > 0:
-            num[s + n - 1] += 2 * c
-            den[s + n - 2] += 2 * c
-    return num, den
-
-
 def nice_ratio(n: int, qpt: QPoint) -> int:
     """Squared outer-layer ratio: the k = n slice of the conjectured product.
 
     Equals prod over 1 <= i <= j <= n of
-    ((1 - q**(i+j+n-1)) / (1 - q**(i+j+n-2)))**2, which telescopes so that
-    the product of nice_ratio(1..n) is qtspp_orbit_product(n)**2.
+    ((1 - q**(i+j+n-1)) / (1 - q**(i+j+n-2)))**2, evaluated as the square of
+    the telescoped layer, so the product of nice_ratio(1..n) is
+    qtspp_orbit_product(n)**2.  It raises DegenerateDenominator exactly when
+    q's order divides some n + 2i - 2 with i <= n.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _product_of_factors(*_nice_ratio_counts(n), qpt)
+    return _layer(n, qpt) ** 2 % qpt.modulus.p
 
 
 def nice_ratio_q1_exact(n: int) -> Fraction:

@@ -26,14 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cofactors import CofactorTable, build_table
+from .cofactors import CofactorTable, build_table, certificate_product
 from .fieldcore import (
     IntegerPoly,
     InvalidInput,
     PrimeModulus,
     SingularMatrix,
     WorkbenchError,
-    matvec_mod,
 )
 from .guessing import (
     ModularRecurrence,
@@ -46,7 +45,6 @@ from .okada import (
     nice_ratio,
     nice_ratio_q1_exact,
     okada_entry_q1,
-    okada_slice,
 )
 
 log = logging.getLogger(__name__)
@@ -143,43 +141,36 @@ def select_q_points(
 
 
 def check_soichi(tables, L: int | None = None) -> VerificationReport:
-    """Orthogonality: row n of the table kills matrix rows 1..n-1, n <= L."""
+    """Orthogonality: row n of the table kills matrix rows 1..n-1, n <= L.
+
+    Row n's residual at matrix row i < n is R[i-1, n-1], certificate_product.
+    """
     tables = _as_tables(tables)
     if L is None:
         L = min(t.n_max for t in tables)
     t0 = time.perf_counter()
     report = VerificationReport("soichi", L, [t.q_int for t in tables])
     for table in tables:
-        if table.n_max < L:
-            raise ValueError(f"table at q={table.q_int} covers only n <= {table.n_max}")
-        p = table.modulus.p
-        a = okada_slice(L, table.qpoint())
-        for n in range(2, L + 1):
-            res = matvec_mod(a[: n - 1, :n], table.row(n), p)
-            report.checks += n - 1
-            for i in np.nonzero(res)[0]:
-                report.record_failure(
-                    q=table.q_int, n=n, i=int(i) + 1, residual=int(res[i])
-                )
+        upper = np.triu(certificate_product(table, L), 1).T
+        report.checks += L * (L - 1) // 2
+        for n, i in np.argwhere(upper):
+            report.record_failure(
+                q=table.q_int, n=int(n) + 1, i=int(i) + 1, residual=int(upper[n, i])
+            )
     report.elapsed = time.perf_counter() - t0
     return report
 
 
 def check_okada(tables, L: int | None = None) -> VerificationReport:
-    """Telescoped ratio: the certificate row sum equals the layer product."""
+    """Telescoped ratio: the certificate row sum, diag R, equals the layer product."""
     tables = _as_tables(tables)
     if L is None:
         L = min(t.n_max for t in tables)
     t0 = time.perf_counter()
     report = VerificationReport("okada", L, [t.q_int for t in tables])
     for table in tables:
-        if table.n_max < L:
-            raise ValueError(f"table at q={table.q_int} covers only n <= {table.n_max}")
-        p = table.modulus.p
         qpt = table.qpoint()
-        a = okada_slice(L, qpt)
-        for n in range(1, L + 1):
-            lhs = int((a[n - 1, :n] * table.row(n) % p).sum() % p)
+        for n, lhs in enumerate(np.diagonal(certificate_product(table, L)).tolist(), start=1):
             rhs = nice_ratio(n, qpt)
             report.checks += 1
             if lhs != rhs:
@@ -417,29 +408,21 @@ def check_leading_factor_vanishing(
             ) % p
         return acc
 
+    # (x, y) on each factor's zero set from q and one free draw r
+    on_factor = (
+        lambda q, r: (r, pow(q, -6, p)),  # Y q^6 = 1
+        lambda q, r: (r, (p - 1) * pow(q, -10, p) % p),  # Y q^10 = -1
+        lambda q, r: (r * pow(q, 9, p) % p, r),  # X = Y q^9
+        lambda q, r: (r * pow(q, 10, p) % p, r),  # X = Y q^10
+        lambda q, r: (pow(r * pow(q, 9, p), -1, p), r),  # X Y q^9 = 1
+        lambda q, r: (pow(r * pow(q, 10, p), -1, p), r),  # X Y q^10 = 1
+    )
     rng = random.Random(seed)
     report = VerificationReport("leading-factor", gmax, [])
     for t in range(trials):
         q = rng.randrange(2, p - 1)
         kind = t % 6
-        if kind == 0:  # Y q^6 = 1
-            y = pow(q, -6, p)
-            x = rng.randrange(1, p)
-        elif kind == 1:  # Y q^10 = -1
-            y = (p - 1) * pow(q, -10, p) % p
-            x = rng.randrange(1, p)
-        elif kind == 2:  # X = Y q^9
-            y = rng.randrange(1, p)
-            x = y * pow(q, 9, p) % p
-        elif kind == 3:  # X = Y q^10
-            y = rng.randrange(1, p)
-            x = y * pow(q, 10, p) % p
-        elif kind == 4:  # X Y q^9 = 1
-            y = rng.randrange(1, p)
-            x = pow(y * pow(q, 9, p) % p, -1, p)
-        else:  # X Y q^10 = 1
-            y = rng.randrange(1, p)
-            x = pow(y * pow(q, 10, p) % p, -1, p)
+        x, y = on_factor[kind](q, rng.randrange(1, p))
         report.checks += 1
         v = assemble(q, x, y)
         if v != 0:

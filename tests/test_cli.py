@@ -400,6 +400,13 @@ class TestBadInput:
         err = self.run(capsys, "guess", flag, "-1", "--out", str(tmp_path))
         assert "negative ansatz bound" in err
 
+    @pytest.mark.parametrize("command", ["guess", "reconstruct"])
+    def test_table_at_another_prime(self, tmp_path, capsys, command):
+        path = build_table(12, QPoint(3, PrimeModulus(3037000493))).save_text(tmp_path / "t.txt")
+        err = self.run(capsys, command, "--n-max", "12", "--in", str(path), "--out", str(tmp_path))
+        assert f"table in {path} is at p=3037000493, but --prime is {P.p}" in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["t.txt"]
+
     def test_reconstruct_reads_its_table_file(self, tmp_path, capsys):
         gone = tmp_path / "gone.txt"
         err = self.run(capsys, "reconstruct", "--in", str(gone), "--out", str(tmp_path))

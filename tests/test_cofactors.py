@@ -97,6 +97,15 @@ class TestBuildTable:
         assert t2.value(3, 2) == 12345
         assert t.value(3, 2) == build_table(4, qp(3)).value(3, 2)
 
+    def test_copies_share_no_storage(self):
+        t = build_table(6, qp(3))
+        text = t.to_text()
+        t.row(4)[:] = 0
+        t.padded(extra_cols=2)[:] = 0
+        for copy in (t.with_value(5, 2, 7), t.truncated(4)):
+            copy._b[:] = 0
+        assert t.to_text() == text
+
 
 class TestTableBytes:
     """sha256 of to_text(), pinned from the earlier per-row solvers."""

@@ -47,11 +47,10 @@ def qp(q):
 
 def noise_table(n_max, q_int, seed=0):
     rng = random.Random(seed)
-    rows = []
+    b = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
     for n in range(1, n_max + 1):
-        row = [rng.randrange(P.p) for _ in range(n - 1)] + [1]
-        rows.append(np.array(row, dtype=np.int64))
-    return CofactorTable(n_max, q_int, P, rows)
+        b[n, 1 : n + 1] = [rng.randrange(P.p) for _ in range(n - 1)] + [1]
+    return CofactorTable(q_int, P, b)
 
 
 class TestAnsatzSupport:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +203,47 @@ class TestNiceRatio:
         want = 25 * pow(4, -1, P.p) % P.p
         assert nice_ratio(2, qp(1)) == want
         assert nice_ratio_q1_exact(2) == Fraction(25, 4)
+
+    @staticmethod
+    def double_product_exponents(n):
+        """Exponent of 1 - q**m in prod over i <= j <= n of the squared layer factors."""
+        e = Counter()
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                e[i + j + n - 1] += 2
+                e[i + j + n - 2] -= 2
+        return e
+
+    def test_matches_double_product(self):
+        # the squared double product over i <= j, factor by factor, no telescoping
+        for q in (3, 5, SOME_Q[-1]):
+            for n in (1, 2, 5, 12, 30):
+                acc = 1
+                for i in range(1, n + 1):
+                    for j in range(i, n + 1):
+                        num = (1 - pow(q, i + j + n - 1, P.p)) % P.p
+                        den = (1 - pow(q, i + j + n - 2, P.p)) % P.p
+                        acc = acc * num % P.p * pow(den, -1, P.p) % P.p
+                assert nice_ratio(n, qp(q)) == acc * acc % P.p
+
+    def test_degenerate_rule_at_small_order(self):
+        # q = 2 has order 31: the layer divides by 1 - q**(n+2i-2), i <= n,
+        # and nowhere else; elsewhere the value is that of the rational
+        # function, read off the double product with equal factors cancelled
+        assert qp(2).order == 31
+        raised = []
+        for n in range(1, 40):
+            if any((n + 2 * i - 2) % 31 == 0 for i in range(1, n + 1)):
+                raised.append(n)
+                with pytest.raises(DegenerateDenominator):
+                    nice_ratio(n, qp(2))
+                continue
+            want = 1
+            for m, k in self.double_product_exponents(n).items():
+                want = want * pow((1 - pow(2, m, P.p)) % P.p, k, P.p) % P.p
+            assert nice_ratio(n, qp(2)) == want
+        # n + 2i - 2 runs over n, n + 2, ..., 3n - 2: odd n reach 31 (then 93), even n 62
+        assert raised == sorted([*range(11, 40, 2), *range(22, 40, 2)])
 
     def test_telescoping(self):
         for q in (3, 7, SOME_Q[-2]):

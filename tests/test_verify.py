@@ -4,11 +4,19 @@ import random
 import numpy as np
 import pytest
 
-from qtspp import verify
-from qtspp.cofactors import build_table
-from qtspp.fieldcore import IntegerPoly, PrimeModulus, SingularMatrix
+from qtspp import okada, verify
+from qtspp.cofactors import build_table, certificate_product
+from qtspp.fieldcore import IntegerPoly, PrimeModulus, SingularMatrix, matvec_mod
 from qtspp.guessing import SymbolicRecurrence
-from qtspp.okada import QPoint, nice_ratio, okada_entry, qtspp_orbit_product
+from qtspp.okada import (
+    DegenerateDenominator,
+    QPoint,
+    has_admissible_order,
+    nice_ratio,
+    okada_entry,
+    okada_slice,
+    qtspp_orbit_product,
+)
 from qtspp.verify import (
     OrbitPoset,
     SeriesTruncationTooShort,
@@ -128,6 +136,92 @@ class TestIdentityChecks:
 
     def test_normalization_single_row(self):
         assert check_normalization(build_table(1, qp(3))).passed
+
+
+def per_row_soichi(table, L):
+    """check_soichi's failures by the per-row residual loop it replaced."""
+    p = table.modulus.p
+    a = okada_slice(L, table.qpoint())
+    out = []
+    for n in range(2, L + 1):
+        res = matvec_mod(a[: n - 1, :n], table.row(n), p)
+        out += [
+            {"q": table.q_int, "n": n, "i": int(i) + 1, "residual": int(res[i])}
+            for i in np.nonzero(res)[0]
+        ]
+    return out
+
+
+def per_row_sums(table, L):
+    """Row n's certificate sum, sum over j of a(n, j) B(n, j), row by row."""
+    p = table.modulus.p
+    a = okada_slice(L, table.qpoint())
+    return [int((a[n - 1, :n] * table.row(n) % p).sum() % p) for n in range(1, L + 1)]
+
+
+def per_row_okada(table, L):
+    """check_okada's failures by the per-row loop it replaced."""
+    qpt = table.qpoint()
+    out = []
+    for n, lhs in enumerate(per_row_sums(table, L), start=1):
+        rhs = nice_ratio(n, qpt)
+        if lhs != rhs:
+            out.append({"q": table.q_int, "n": n, "lhs": lhs, "rhs": rhs})
+    return out
+
+
+def failures_or_error(failures):
+    try:
+        return failures()
+    except DegenerateDenominator as exc:
+        return str(exc)
+
+
+class TestCertificateProduct:
+    """check_soichi and check_okada read R = A B^T; the per-row loops are the reference."""
+
+    @pytest.fixture(scope="class", params=[(40, 12345), (60, 2**5), (60, 1)], ids=str)
+    def tables(self, request):
+        n, q = request.param
+        t = build_table(n, qp(q))
+        return n, [
+            t,
+            t.with_value(n // 2, 3, t.value(n // 2, 3) + 1),
+            t.with_value(n, n, 0),
+            t.with_value(7, 1, 0).with_value(n - 1, n - 5, 12345),
+        ]
+
+    def test_soichi_failures_match(self, tables):
+        n, ts = tables
+        for t in ts:
+            rep = check_soichi(t, n)
+            assert rep.failures == per_row_soichi(t, n)
+            assert rep.checks == sum(m - 1 for m in range(2, n + 1))
+        assert not check_soichi(ts[1], n).passed and not check_soichi(ts[3], n).passed
+
+    def test_okada_failures_match(self, tables):
+        n, ts = tables
+        for t in ts:
+            got = failures_or_error(lambda: check_okada(t, n).failures)
+            assert got == failures_or_error(lambda: per_row_okada(t, n))
+            assert np.diagonal(certificate_product(t, n)).tolist() == per_row_sums(t, n)
+
+    def test_checks_run_where_the_layer_is_defined(self, tables):
+        # q = 2**5 has order 31: layer 11 divides by 1 - q**31, so okada stops there
+        n, ts = tables
+        if ts[0].q_int == 2**5:
+            with pytest.raises(DegenerateDenominator, match=r"q\*\*31 = 0"):
+                check_okada(ts[0], n)
+        else:
+            assert check_okada(ts[0], n).passed and not check_okada(ts[2], n).passed
+
+    @pytest.mark.parametrize("k", [1, 7, 30])
+    def test_wrong_layer_fails_okada_at_that_n(self, monkeypatch, k):
+        assert has_admissible_order(12345, P, 30)
+        table = build_table(30, qp(12345))
+        layer = okada._layer
+        monkeypatch.setattr(okada, "_layer", lambda n, qpt: (layer(n, qpt) + (n == k)) % P.p)
+        assert [f["n"] for f in check_okada(table, 30).failures] == [k]
 
 
 class TestLargestModulus:
