@@ -218,6 +218,13 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((a >> 16) @ b % p * 65536 + (a & 0xFFFF) @ b % p) % p
 
 
+def _active_span(multipliers: np.ndarray) -> tuple[int, int]:
+    """First and one past the last row of a multiplier block with a nonzero
+    entry, (0, 0) if none: no row outside this span changes under its update."""
+    rows = np.flatnonzero(multipliers.any(axis=1))
+    return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+
+
 def _echelon_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     """Row echelon form of a over GF(p): (u, pivot columns, det).
 
@@ -235,6 +242,13 @@ def _echelon_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     update u[k1:, c1:] -= L21 @ U12 through _mul_mod, _ROWS rows at a time.
     Every pivot still sees a fully updated column, so u, the pivots and det
     are those of the column-by-column elimination.
+
+    Each update covers only the rows from the first to the last with a
+    nonzero multiplier (_active_span in the trailing product; in a panel,
+    the rows the pivot search found below the pivot, as a swap moves a row
+    with a zero there down), in place.  A skipped row would subtract zero,
+    so u is unchanged.  In a staircase matrix, whose rows start at
+    ascending columns, a row is left alone until its columns are reached.
     """
     u = a % p
     rows, cols = u.shape
@@ -259,9 +273,11 @@ def _echelon_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
             det = det * piv % p
             inv = _inv_mod(piv, p)
             u[k, c:c1] = u[k, c:c1] * inv % p
-            below = u[k + 1 :, c + 1 : c1]
-            below -= np.outer(u[k + 1 :, c], u[k, c + 1 : c1])
-            below %= p
+            if nz.size > 1:
+                span = slice(k + nz[1], k + nz[-1] + 1)
+                below = u[span, c + 1 : c1]
+                below -= np.outer(u[span, c], u[k, c + 1 : c1])
+                below %= p
             pivots.append(c)
             inverses.append(inv)
         k1 = len(pivots)
@@ -272,9 +288,10 @@ def _echelon_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
         top = u[k0:k1, c1:]
         for j, inv in enumerate(inverses):
             top[j] = (top[j] - _mul_mod(lower[j, :j], top[:j], p)) * inv % p
-        for r in range(k1, rows, _ROWS):
-            rest = u[r : r + _ROWS, c1:]
-            rest -= _mul_mod(lower[r - k0 : r - k0 + _ROWS], top, p)
+        lo, hi = _active_span(lower[k1 - k0 :])
+        for r in range(k1 + lo, k1 + hi, _ROWS):
+            rest = u[r : min(r + _ROWS, k1 + hi), c1:]
+            rest -= _mul_mod(lower[r - k0 : r - k0 + len(rest)], top, p)
             rest %= p
         u[k0:, pivots[k0:]] = np.triu(lower)
     return u, pivots, det

@@ -12,6 +12,9 @@ rational number reconstruction.  The sweep knows each point's answer shape
 nullspace of equation rows fixed once, certified by the residual on every
 row, and the nullspace of the whole system only as the fallback.  Table
 values beyond the triangular domain in j read as zero (zero extension).
+The sweep eliminates each system in staircase order (_staircase): columns
+by descending gamma, rows by descending n - j, so the elimination leaves a
+row untouched until its first structurally nonzero column is reached.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -337,6 +340,20 @@ def _fixed_rows(
     return None
 
 
+@lru_cache(maxsize=None)
+def _staircase(n_max: int) -> np.ndarray:
+    """The equation rows by n - j, descending (ties keep their order), read-only.
+
+    Row (n, j) reads B(n, j + gamma) = 0 for every gamma > n - j, so with
+    the columns by descending gamma (the support order reversed) each row
+    starts at its first structurally nonzero column, and those ascend.
+    """
+    ns, js = np.tril_indices(n_max)
+    out = np.argsort(js - ns, kind="stable")
+    out.setflags(write=False)
+    return out
+
+
 def _sweep_one(args, rows: np.ndarray | None = None):
     """One sweep point: (q, coefficients or None, nullspace dimension, skip reason).
 
@@ -345,6 +362,10 @@ def _sweep_one(args, rows: np.ndarray | None = None):
     the pivot term and annihilates every row of M; that makes M's rank
     len(support) - 1, so the vector spans M's kernel.  Otherwise, and
     without fixed rows, the nullspace of the whole of M decides the point.
+    Both nullspaces are taken with M's columns reversed and the basis
+    permuted back; the fixed rows go in the order given (sweep gives them in
+    staircase order), the whole of M in the order of _staircase.  The
+    kernel and its dimension, so every outcome, do not depend on the order.
     """
     q_int, p, n_max, support, pivot_term = args
     table, reason = _point_table(q_int, p, n_max)
@@ -353,7 +374,7 @@ def _sweep_one(args, rows: np.ndarray | None = None):
     k = support.terms.index(pivot_term)
     m = build_equations(table, support)
     if rows is not None:
-        basis = nullspace_mod(m[rows], p)
+        basis = nullspace_mod(m[rows, ::-1], p)[:, ::-1]
         if basis.shape[0] != 1 or basis[0, k] == 0:
             cause = "fixed rows are singular"
         elif matvec_mod(m, basis[0], p).any():
@@ -361,7 +382,7 @@ def _sweep_one(args, rows: np.ndarray | None = None):
         else:
             return q_int, basis[0] * pow(int(basis[0, k]), -1, p) % p, 1, None
         log.info("sweep q=%d: %s, falling back to the nullspace", q_int, cause)
-    basis = nullspace_mod(m, p)
+    basis = nullspace_mod(m[_staircase(n_max), ::-1], p)[:, ::-1]
     dim = basis.shape[0]
     if dim == 0:
         return q_int, None, 0, "trivial nullspace"
@@ -388,18 +409,19 @@ def sweep(
     default the support's first term), so across q points each coefficient
     is a sample of one rational function of q.  len(support) - 1
     independent equation rows are fixed once, at the first q whose table
-    builds (_fixed_rows); each point then takes the nullspace of those rows
-    alone and accepts it only when it is one vector, nonzero on the pivot
-    term, that annihilates every equation row, which proves the kernel one
-    dimensional.  A refused vector (the fixed rows are singular, or the
-    residual is nonzero) is logged at INFO and the point falls back to the
-    nullspace of the whole system, as does every point when no rows could
-    be fixed.  Points where the table is singular (or q's multiplicative
-    order is below MIN_Q_ORDER), the nullspace dimension differs from 1, or
-    the pivot coefficient vanishes are logged and skipped.  A table that
-    runs out of p-adic precision (PrecisionExhausted) is a limit of this
-    program, not of the q point, and propagates.  Raises TooFewPoints when
-    a nonempty range keeps fewer than min_points.
+    builds (_fixed_rows), and put in staircase order once (_staircase);
+    each point then takes the nullspace of those rows alone, with the
+    columns reversed, and accepts it only when it is one vector, nonzero on
+    the pivot term, that annihilates every equation row, which proves the
+    kernel one dimensional.  A refused vector (the fixed rows are singular,
+    or the residual is nonzero) is logged at INFO and the point falls back
+    to the nullspace of the whole system, as does every point when no rows
+    could be fixed.  Points where the table is singular (or q's
+    multiplicative order is below MIN_Q_ORDER), the nullspace dimension
+    differs from 1, or the pivot coefficient vanishes are logged and
+    skipped.  A table that runs out of p-adic precision (PrecisionExhausted)
+    is a limit of this program, not of the q point, and propagates.  Raises
+    TooFewPoints when a nonempty range keeps fewer than min_points.
     """
     if q_from < 2:
         raise InvalidInput("sweeps start at q >= 2")
@@ -411,7 +433,11 @@ def sweep(
     if pivot_term not in support.terms:
         raise ValueError(f"pivot term {pivot_term} not in support")
     jobs = [(q, p, n_max, support, pivot_term) for q in range(q_from, q_to + 1)]
-    one = partial(_sweep_one, rows=_fixed_rows(support, q_from, q_to, p, n_max))
+    order = _staircase(n_max)
+    rows = _fixed_rows(support, q_from, q_to, p, n_max)
+    if rows is not None:
+        rows = order[np.isin(order, rows)]
+    one = partial(_sweep_one, rows=rows)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, jobs, chunksize=4))

@@ -316,6 +316,12 @@ def echelon_unblocked(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int
     return u, pivots, det
 
 
+def staircase_rows(rows: np.ndarray, n_max: int) -> np.ndarray:
+    """The equation rows given, in the staircase order the sweep eliminates them in."""
+    order = guessing._staircase(n_max)
+    return order[np.isin(order, rows)]
+
+
 def same_echelon(a: np.ndarray, p: int) -> bool:
     u, pivots, det = fieldcore._echelon_mod(a, p)
     ref_u, ref_pivots, ref_det = echelon_unblocked(a, p)
@@ -337,6 +343,19 @@ def echelon_cases(p: int):
     yield "rank-deficient 200x200", mixed[rng.permutation(200)]
     yield "small entries, frequent row swaps", rng.integers(0, 3, size=(150, 160))
     yield "all entries p - 1", np.full((90, 130), p - 1, dtype=np.int64)
+    stairs = rng.integers(0, p, size=(120, 150))
+    stairs[np.arange(150) < np.sort(rng.integers(0, 150, size=120))[:, None]] = 0
+    yield "leading zero staircase", stairs
+    swap = rng.integers(0, p, size=(60, 90))
+    swap[[0, 1, 3], 0] = 0  # row 0 swaps with row 2 and keeps a zero multiplier
+    yield "swap moves a zero multiplier below the pivot", swap
+    idle = rng.integers(0, p, size=(80, 100))
+    idle[40:, :40] = 0
+    yield "no row below the first panel is active", idle
+    last = rng.integers(0, p, size=(70, 100))
+    last[40:, :40] = 0
+    last[[40, 69], 39] = [1, p - 1]
+    yield "only multiplier in the panel's last column", last
 
 
 class TestBlockedEchelon:
@@ -353,15 +372,37 @@ class TestBlockedEchelon:
         assert ranks["rank-deficient 200x200"] == 150
         assert ranks["all entries p - 1"] == 1
 
+    def test_staircase_cases_skip_rows(self, monkeypatch):
+        # the rows below each panel, and the span its trailing update covers
+        clean, seen = fieldcore._active_span, []
+
+        def spy(block):
+            span = clean(block)
+            seen.append((len(block), span))
+            return span
+
+        monkeypatch.setattr(fieldcore, "_active_span", spy)
+        cases = dict(echelon_cases(P.p))
+        fieldcore._echelon_mod(cases["no row below the first panel is active"], P.p)
+        assert seen[0] == (40, (0, 0))
+        seen.clear()
+        # rows 40 and 69 have their only multiplier in column 39
+        fieldcore._echelon_mod(cases["only multiplier in the panel's last column"], P.p)
+        assert seen[0] == (30, (0, 30))
+        seen.clear()
+        fieldcore._echelon_mod(cases["leading zero staircase"], P.p)
+        assert sum(hi - lo for _, (lo, hi) in seen) < sum(below for below, _ in seen) / 2
+
     def test_matches_on_the_real_systems(self, table_q2, full_support, refined):
         guess = guessing.build_equations(table_q2, full_support)
         assert guess.shape == (630, 440)
         assert same_echelon(guess, P.p)
         rows = guessing._fixed_rows(refined, 2, 150, P.p, 35)
         table, _ = guessing._point_table(3, P.p, 35)
-        point = guessing.build_equations(table, refined)[rows]
-        assert point.shape == (329, 330)
-        assert same_echelon(point, P.p)
+        m = guessing.build_equations(table, refined)
+        assert m[rows].shape == (329, 330)
+        assert same_echelon(m[rows], P.p)
+        assert same_echelon(m[staircase_rows(rows, 35), ::-1], P.p)
 
     @staticmethod
     def corrupt_products(monkeypatch):
@@ -375,6 +416,49 @@ class TestBlockedEchelon:
             return out
 
         monkeypatch.setattr(fieldcore, "_mul_mod", corrupted)
+
+    @staticmethod
+    def drop_an_active_row(monkeypatch) -> list:
+        """Make _active_span lose its first row once per entry of the returned list.
+
+        A test appends an entry to arm one dropped row; the drop consumes it.
+        """
+        clean, armed = fieldcore._active_span, []
+
+        def dropping(block):
+            lo, hi = clean(block)
+            if armed and lo < hi:
+                armed.pop()
+                return lo + 1, hi
+            return lo, hi
+
+        monkeypatch.setattr(fieldcore, "_active_span", dropping)
+        return armed
+
+    def test_dropped_row_fails_the_reference(self, monkeypatch):
+        a = dict(echelon_cases(P.p))["leading zero staircase"]
+        assert same_echelon(a, P.p)
+        armed = self.drop_an_active_row(monkeypatch)
+        armed.append("one row")
+        assert not same_echelon(a, P.p)
+        assert not armed
+
+    def test_dropped_row_never_reaches_the_sweep(self, refined, modular_rec, monkeypatch, caplog):
+        # one row dropped from the fixed-row elimination: the residual refuses
+        # its vector and the whole-system nullspace, eliminated cleanly, decides
+        rows = staircase_rows(guessing._fixed_rows(refined, 2, 150, P.p, 35), 35)
+        jobs = [(q, P.p, 35, refined, modular_rec.pivot_term) for q in (2, 3, 4)]
+        clean = [guessing._sweep_one(job, rows) for job in jobs]
+        armed = self.drop_an_active_row(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="qtspp.guessing"):
+            for job, want in zip(jobs, clean):
+                armed.append(job[0])
+                got = guessing._sweep_one(job, rows)
+                assert not armed
+                assert got[1] is not None and np.array_equal(got[1], want[1])
+        assert [r.getMessage() for r in caplog.records if r.name == "qtspp.guessing"] == [
+            f"sweep q={q}: nonzero residual, falling back to the nullspace" for q in (2, 3, 4)
+        ]
 
     def test_corrupted_product_fails_the_reference(self, monkeypatch):
         a = np.random.default_rng(5).integers(0, P.p, size=(100, 120))

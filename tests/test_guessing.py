@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import logging
+import os
 import random
 from pathlib import Path
 
@@ -280,6 +282,21 @@ def outcome(result):
     return q_int, None if coeffs is None else coeffs.tolist(), dim, reason
 
 
+def support_order_outcome(job):
+    """_sweep_one's decision taken on the nullspace of the system in support order."""
+    q_int, p, n_max, support, pivot_term = job
+    table, reason = guessing._point_table(q_int, p, n_max)
+    if table is None:
+        return q_int, None, 0, reason
+    basis = nullspace_mod(build_equations(table, support), p)
+    dim, k = basis.shape[0], support.terms.index(pivot_term)
+    if dim != 1:
+        return q_int, None, dim, f"nullspace dimension {dim}" if dim else "trivial nullspace"
+    if basis[0, k] == 0:
+        return q_int, None, 1, "pivot coefficient vanishes"
+    return q_int, (basis[0] * pow(int(basis[0, k]), -1, p) % p).tolist(), 1, None
+
+
 def fallback_records(caplog):
     return [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()]
 
@@ -297,6 +314,18 @@ class TestSquareSolve:
             fast = outcome(guessing._sweep_one(job, rows))
             assert fast == outcome(guessing._sweep_one(job))
             assert fast[1] == rec.coefficients.tolist()
+
+    def test_staircase_fallback_matches_the_support_order(self, refined, modular_rec):
+        # without fixed rows the whole system is eliminated in staircase order;
+        # at a point of dimension 1, one of dimension > 1 (n_max = 11 leaves
+        # 66 equations for 330 terms) and the order-2 point q = p - 1
+        jobs = [(q, P.p, n_max, refined, modular_rec.pivot_term)
+                for q, n_max in ((3, 35), (3, 11), (P.p - 1, 35))]
+        got = [outcome(guessing._sweep_one(job)) for job in jobs]
+        assert got == [support_order_outcome(job) for job in jobs]
+        assert got[0][1] is not None and got[0][2] == 1
+        assert got[1][2] >= 264 and got[1][3] == f"nullspace dimension {got[1][2]}"
+        assert got[2][3].startswith("singular table")
 
     def test_corrupted_row_trips_the_residual(self, refined, modular_rec, monkeypatch, caplog):
         # rows are fixed at the clean q = 2; at q = 3..5 one equation row
@@ -494,15 +523,45 @@ class TestReconstructSymbolic:
             assert np.array_equal(vals, want)
 
 
+def same_but_prime(a: SymbolicRecurrence, b: SymbolicRecurrence) -> bool:
+    """Equal support, pivot term, coefficient polynomials and q points."""
+    return (a.support, a.pivot_term, a.coefficients, a.q_points_used) == (
+        b.support, b.pivot_term, b.coefficients, b.q_points_used
+    )
+
+
 class TestLargestModulus:
-    def test_guess_annihilates_table(self, full_support):
-        # 3037000493 is the largest prime <= MAX_MODULUS
-        big = PrimeModulus(3037000493)
-        table = build_table(35, QPoint(2, big))
-        rec = guess_modular(table, full_support)
+    #: 3037000493 is the largest prime <= MAX_MODULUS
+    BIG_P = 3037000493
+
+    @pytest.fixture(scope="class")
+    def big_table_and_guess(self, full_support):
+        table = build_table(35, QPoint(2, PrimeModulus(self.BIG_P)))
+        return table, guess_modular(table, full_support)
+
+    def test_guess_annihilates_table(self, big_table_and_guess):
+        table, rec = big_table_and_guess
         assert len(rec.support) == 440
         assert (rec.nullspace_dim, rec.zero_count()) == (1, 110)
         assert not annihilation_residuals(rec, table).any()
+
+    def test_reconstruction_is_prime_independent(self, big_table_and_guess, symbolic_rec):
+        # guess, refine, sweep and reconstruct at the largest modulus: the
+        # integer recurrence must be the one found at 2**31 - 1
+        _, rec = big_table_and_guess
+        recs = sweep(
+            refine_support(rec), 2, 150, p=self.BIG_P, n_max=35,
+            pivot_term=rec.pivot_term, workers=min(os.cpu_count() or 1, 4),
+        )
+        sym = reconstruct_symbolic(recs)
+        assert (sym.prime, symbolic_rec.prime) == (self.BIG_P, P.p)
+        assert same_but_prime(sym, symbolic_rec)
+        # one integer coefficient off by 1 fails the comparison
+        k = sym.support.terms.index(sym.pivot_term)
+        pivot = sym.coefficients[k].coeffs
+        coeffs = list(sym.coefficients)
+        coeffs[k] = IntegerPoly([pivot[0] + 1, *pivot[1:]])
+        assert not same_but_prime(dataclasses.replace(sym, coefficients=coeffs), symbolic_rec)
 
 
 class TestPersistence:
