@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cofactors import CofactorTable, build_table, load_table
+from .cofactors import CofactorTable, build_table, check_q_order, load_table
 from .fieldcore import DEFAULT_PRIME, InvalidInput, PrimeModulus, WorkbenchError
 from .guessing import (
     AnsatzSupport,
@@ -31,8 +31,9 @@ from .guessing import (
     save_recurrence,
     sweep,
 )
-from .okada import MIN_Q_ORDER, QPoint, qtspp_orbit_product
+from .okada import QPoint, qtspp_orbit_product
 from .verify import (
+    CT_BOUND,
     VerificationReport,
     brute_force_qtspp,
     check_extended,
@@ -77,6 +78,7 @@ class PipelineConfig:
     out_dir: Path = Path("qtspp-out")
 
     def __post_init__(self):
+        self.support()  # refuses a negative ansatz bound before any stage runs
         if self.n_max <= self.gamma_max:
             raise InvalidInput("n_max must exceed gamma_max")
         if self.q_from < 2:
@@ -97,17 +99,6 @@ class PipelineConfig:
         return self.out_dir
 
 
-def _check_q_usable(q_int: int, modulus: PrimeModulus) -> QPoint:
-    """q_int as a point mod p; refuses an order below MIN_Q_ORDER."""
-    point = QPoint(q_int, modulus)
-    if q_int != 1 and point.order < MIN_Q_ORDER:
-        raise WorkbenchError(
-            f"q={q_int} has multiplicative order {point.order} mod {modulus.p}; "
-            f"the entry matrix degenerates at such points, pick another q"
-        )
-    return point
-
-
 # ---------------------------------------------------------------------------
 # Stages: each subcommand and `pipeline` run these same functions
 # ---------------------------------------------------------------------------
@@ -115,7 +106,7 @@ def _check_q_usable(q_int: int, modulus: PrimeModulus) -> QPoint:
 
 def _table(modulus: PrimeModulus, q_int: int, n_max: int) -> CofactorTable:
     """The certificate table up to n_max at q_int."""
-    return build_table(n_max, _check_q_usable(q_int, modulus))
+    return build_table(n_max, QPoint(q_int, modulus))
 
 
 def _discovery_table(config: PipelineConfig, q_int: int, in_path: Path | None) -> CofactorTable:
@@ -269,10 +260,11 @@ def cmd_verify(config: PipelineConfig, which: str, q_int: int = 2,
     elif which == "extended":
         if in_path is None:
             raise WorkbenchError("verify extended needs --in <symbolic recurrence file>")
-        _check_q_usable(q_int, config.modulus())
+        check_q_order(QPoint(q_int, config.modulus()))
         passed = _extended_report(config, load_recurrence(in_path), q_int, config.n_ext)
     elif which == "ct":
-        passed = _report_out(config, ct_check_q1(ct_bound if ct_bound is not None else 30), "ct-q1")
+        bound = CT_BOUND if ct_bound is None else ct_bound
+        passed = _report_out(config, ct_check_q1(bound), "ct-q1")
     elif which == "brute":
         passed = _brute_report(config)
     else:
@@ -287,7 +279,7 @@ def cmd_pipeline(config: PipelineConfig, q1: bool = False) -> int:
         table, _ = _table_stage(config, 1, config.L_q1)
         passed = [
             _identity_reports(config, [table], q1=True),
-            _report_out(config, ct_check_q1(min(30, config.L_q1)), "ct-q1-q1"),
+            _report_out(config, ct_check_q1(min(CT_BOUND, config.L_q1)), "ct-q1-q1"),
             _brute_report(config),
         ]
         return 0 if all(passed) else 1
@@ -338,6 +330,12 @@ def cmd_pipeline(config: PipelineConfig, q1: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: PipelineConfig fields that are integer options of every subcommand, with
+#: the field's default.
+_CONFIG_ARGS = ("prime", "n_max", "alpha_max", "beta_max", "gamma_max", "q_from", "q_to", "n_ext",
+                "workers")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtspp",
@@ -346,17 +344,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="count", default=0)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=int, default=2, help="numeric q point (default 2)")
-    common.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    common.add_argument("--n-max", type=int, default=35)
-    common.add_argument("--alpha-max", type=int, default=4)
-    common.add_argument("--beta-max", type=int, default=7)
-    common.add_argument("--gamma-max", type=int, default=10)
-    common.add_argument("--q-from", type=int, default=2)
-    common.add_argument("--q-to", type=int, default=150)
-    common.add_argument("--n-ext", type=int, default=120)
+    for name in _CONFIG_ARGS:
+        common.add_argument(f"--{name.replace('_', '-')}", type=int,
+                            default=getattr(PipelineConfig, name))
     common.add_argument("--L", type=int, default=None, dest="L")
     common.add_argument("--q1", action="store_true", help="run the q = 1 specialization")
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--out", type=Path, default=None, help="output directory")
     common.add_argument("--in", type=Path, default=None, dest="in_path")
 
@@ -375,10 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    names = ("prime", "n_max", "alpha_max", "beta_max", "gamma_max", "q_from", "q_to", "n_ext",
-             "workers")
-    kwargs = {name: getattr(args, name) for name in names}
-    kwargs["out_dir"] = args.out or Path(os.environ.get(OUT_DIR_ENV, "qtspp-out"))
+    kwargs = {name: getattr(args, name) for name in _CONFIG_ARGS}
+    kwargs["out_dir"] = args.out or Path(os.environ.get(OUT_DIR_ENV, PipelineConfig.out_dir))
     if args.L is not None:
         kwargs.update(L=args.L, L_q1=args.L)
     return PipelineConfig(**kwargs)

@@ -8,7 +8,10 @@ The rows are nested kernels of one matrix, so one GF(p) elimination yields
 every row whose leading minor is a unit mod p.  The others share one
 elimination mod p**PADIC_PRECISION on unit pivots, then take one small Schur
 complement solve each (PrecisionExhausted when those digits run out), and
-are re-checked mod p**PADIC_PRECISION before they are reduced mod p.
+are re-checked mod p**PADIC_PRECISION before they are reduced mod p.  A
+q != 1 of multiplicative order below MIN_Q_ORDER has no table (the entry
+matrix collapses there): build_table refuses it for every caller, with the
+SingularMatrix that check_q_order raises.
 
 Okada's identity is one matrix product, certificate_product: R = A B^T, A
 the entry matrix and B the table, is lower triangular (orthogonality) with
@@ -37,7 +40,7 @@ from .fieldcore import (
     det_mod,
     leading_kernels_mod,
 )
-from .okada import QPoint, entry_matrix, okada_slice
+from .okada import MIN_Q_ORDER, QPoint, entry_matrix, okada_slice
 
 log = logging.getLogger(__name__)
 
@@ -275,6 +278,12 @@ def _schur_row(m: list[list[int]], k: int, n: int, qpt: QPoint) -> list[int]:
     return y
 
 
+def check_q_order(qpt: QPoint) -> None:
+    """SingularMatrix for a q != 1 of order below MIN_Q_ORDER: it has no table."""
+    if not qpt.is_unit and qpt.order < MIN_Q_ORDER:
+        raise SingularMatrix(f"q has multiplicative order {qpt.order}")
+
+
 def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     """All cofactor rows up to n_max, with orthogonality residuals verified.
 
@@ -291,7 +300,9 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     a row).  Every row is then checked at once: the certificate product
     must vanish above its diagonal, or SingularMatrix names the first row
     that fails, as does a lifted row failing its check mod p**PADIC_PRECISION.
+    A q point of too small an order is refused first (check_q_order).
     """
+    check_q_order(qpt)
     if n_max < 1:
         raise InvalidInput("n_max must be >= 1")
     p = qpt.modulus.p

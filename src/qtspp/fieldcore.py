@@ -79,19 +79,8 @@ class NoReconstruction(WorkbenchError):
 
 @lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
-    """Primality by trial division, memoized: each modulus is tested once."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Primality by trial division (_factorize), memoized: each modulus is tested once."""
+    return n > 1 and _factorize(n) == ((n, 1),)
 
 
 @lru_cache(maxsize=None)

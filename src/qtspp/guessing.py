@@ -50,7 +50,7 @@ from .fieldcore import (
     reconstruct_rational_function,
     reconstruct_rational_number,
 )
-from .okada import MIN_Q_ORDER, QPoint
+from .okada import QPoint
 
 log = logging.getLogger(__name__)
 
@@ -313,11 +313,8 @@ def annihilation_residuals(
 
 def _point_table(q_int: int, p: int, n_max: int) -> tuple[CofactorTable | None, str | None]:
     """The sweep's table at q_int, or None and the reason the point is skipped."""
-    qpt = QPoint(q_int, PrimeModulus(p))
-    if qpt.order < MIN_Q_ORDER:
-        return None, f"singular table: q has multiplicative order {qpt.order}"
     try:
-        return build_table(n_max, qpt), None
+        return build_table(n_max, QPoint(q_int, PrimeModulus(p))), None
     except SingularMatrix as exc:
         return None, f"singular table: {exc}"
 
@@ -416,8 +413,8 @@ def sweep(
     kernel one dimensional.  A refused vector (the fixed rows are singular,
     or the residual is nonzero) is logged at INFO and the point falls back
     to the nullspace of the whole system, as does every point when no rows
-    could be fixed.  Points where the table is singular (or q's
-    multiplicative order is below MIN_Q_ORDER), the nullspace dimension
+    could be fixed.  Points where the table is singular (build_table also
+    refuses a q of too small a multiplicative order), the nullspace dimension
     differs from 1, or the pivot coefficient vanishes are logged and
     skipped.  A table that runs out of p-adic precision (PrecisionExhausted)
     is a limit of this program, not of the q point, and propagates.  Raises
@@ -536,10 +533,7 @@ def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrenc
         later = _poly_mul(later, den, p)
     cleared.reverse()
 
-    scalar = 1
-    for poly in cleared:
-        for c in poly:
-            scalar = scalar * c.denominator // math.gcd(scalar, c.denominator)
+    scalar = math.lcm(*(c.denominator for poly in cleared for c in poly))
     int_polys = [[int(c * scalar) for c in poly] for poly in cleared]
     content = math.gcd(*(c for poly in int_polys for c in poly))
     if content == 0:
@@ -576,36 +570,22 @@ def _canonical_json(obj) -> str:
 
 
 def recurrence_to_json(rec: ModularRecurrence | SymbolicRecurrence) -> str:
+    doc = {
+        "prime": rec.prime,
+        "support": [list(t) for t in rec.support.terms],
+        "bounds": list(rec.support.bounds),
+        "pivot": list(rec.pivot_term),
+    }
+    meta = {"term_count": len(rec.support)}
     if isinstance(rec, ModularRecurrence):
-        doc = {
-            "mode": "modular",
-            "prime": rec.prime,
-            "support": [list(t) for t in rec.support.terms],
-            "bounds": list(rec.support.bounds),
-            "pivot": list(rec.pivot_term),
-            "coefficients": [int(c) for c in rec.coefficients],
-            "q_points_used": [rec.q_int],
-            "metadata": {
-                "nullspace_dim": rec.nullspace_dim,
-                "zero_count": rec.zero_count(),
-                "term_count": len(rec.support),
-            },
-        }
+        doc.update(mode="modular", coefficients=[int(c) for c in rec.coefficients],
+                   q_points_used=[rec.q_int])
+        meta.update(nullspace_dim=rec.nullspace_dim, zero_count=rec.zero_count())
     else:
-        doc = {
-            "mode": "symbolic",
-            "prime": rec.prime,
-            "support": [list(t) for t in rec.support.terms],
-            "bounds": list(rec.support.bounds),
-            "pivot": list(rec.pivot_term),
-            "coefficients": [list(c.coeffs) for c in rec.coefficients],
-            "q_points_used": list(rec.q_points_used),
-            "metadata": {
-                "max_abs_coefficient": rec.max_abs_coefficient(),
-                "term_count": len(rec.support),
-            },
-        }
-    return _canonical_json(doc)
+        doc.update(mode="symbolic", coefficients=[list(c.coeffs) for c in rec.coefficients],
+                   q_points_used=list(rec.q_points_used))
+        meta.update(max_abs_coefficient=rec.max_abs_coefficient())
+    return _canonical_json({**doc, "metadata": meta})
 
 
 def save_recurrence(rec: ModularRecurrence | SymbolicRecurrence, path: str | Path) -> Path:

@@ -15,7 +15,6 @@ on a table's integer residues with the extracted coefficient reduced mod p.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import random
@@ -37,6 +36,7 @@ from .fieldcore import (
 from .guessing import (
     ModularRecurrence,
     SymbolicRecurrence,
+    _canonical_json,
     annihilation_residuals,
 )
 from .okada import (
@@ -48,6 +48,10 @@ from .okada import (
 )
 
 log = logging.getLogger(__name__)
+
+
+#: Default size bound of the constant-term check ct_check_q1.
+CT_BOUND = 30
 
 
 class SizeLimit(WorkbenchError):
@@ -95,7 +99,7 @@ class VerificationReport:
             "passed": self.passed,
             "details": self.details,
         }
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        return _canonical_json(doc)
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
@@ -119,11 +123,15 @@ def select_q_points(
 
     Draws from a seeded RNG and keeps q whose multiplicative order clears
     4 * n_bound, so every product formula up to size n_bound is safe.
+    InvalidInput once every candidate in [2, p - 2] is drawn and count are not.
     """
     rng = random.Random(seed)
     picked: list[int] = []
     seen = set()
     while len(picked) < count:
+        if len(seen) == modulus.p - 3:
+            raise InvalidInput(f"p={modulus.p} has fewer than {count} q points of order "
+                               f">= 4*{n_bound}; use a larger prime or a smaller bound")
         q = rng.randrange(2, modulus.p - 1)
         if q in seen:
             continue
@@ -271,7 +279,7 @@ def cofactor_rows_q1_exact(n_max: int) -> list[list[Fraction]]:
 
 
 def ct_check_q1(
-    n_max_ct: int = 30, table: CofactorTable | None = None
+    n_max_ct: int = CT_BOUND, table: CofactorTable | None = None
 ) -> VerificationReport:
     """Constant-term form of the q = 1 identities via truncated series.
 

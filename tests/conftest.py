@@ -1,4 +1,5 @@
 import os
+import signal
 import sys
 
 import pytest
@@ -17,6 +18,21 @@ from qtspp.guessing import (  # noqa: E402
 from qtspp.okada import QPoint  # noqa: E402
 
 P = PrimeModulus()
+
+#: Wall-clock limit of one test: a hang fails the test instead of stalling the suite.
+TEST_DEADLINE_S = 600
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    def expire(signum, frame):
+        pytest.fail(f"test still running after {TEST_DEADLINE_S} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_DEADLINE_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

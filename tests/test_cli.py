@@ -1,6 +1,8 @@
 import hashlib
 import json
 import shutil
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,6 @@ import pytest
 from qtspp import cli
 from qtspp.cli import (
     MAX_ABS_COEFFICIENT,
-    MIN_Q_ORDER,
     PipelineConfig,
     cmd_cofactors,
     cmd_guess,
@@ -17,7 +18,7 @@ from qtspp.cli import (
     main,
 )
 from qtspp.cofactors import build_table, load_table
-from qtspp.fieldcore import IntegerPoly, PrimeModulus
+from qtspp.fieldcore import IntegerPoly, InvalidInput, PrimeModulus
 from qtspp.guessing import (
     AnsatzSupport,
     ModularRecurrence,
@@ -75,6 +76,10 @@ class TestPipelineConfig:
             PipelineConfig(workers=0)
         with pytest.raises(ValueError, match="sweeps start at q >= 2"):
             PipelineConfig(q_from=1)
+        for bound in ("alpha_max", "beta_max", "gamma_max"):
+            with pytest.raises(InvalidInput, match="negative ansatz bound"):
+                PipelineConfig(**{bound: -1})
+        assert PipelineConfig(alpha_max=0, beta_max=0, gamma_max=0).gamma_max == 0
 
 
 class TestCofactorsCommand:
@@ -101,9 +106,10 @@ class TestCofactorsCommand:
     def test_refuses_tiny_order(self, tmp_path, capsys):
         # p - 1 has multiplicative order 2 < MIN_Q_ORDER
         rc = main(["cofactors", "--q", str(P.p - 1), "--n-max", "12",
-                   "--out", str(tmp_path)])
+                   "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "order" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: q has multiplicative order 2\n"
+        assert not (tmp_path / "out").exists()
 
     def test_q1_dispatch(self, tmp_path):
         rc = main(["cofactors", "--q1", "--n-max", "11", "--out", str(tmp_path)])
@@ -186,7 +192,7 @@ class TestVerifyCommand:
             "--in", str(tmp_path / "missing.json"), "--out", str(tmp_path),
         ])
         assert rc == 1
-        assert "order" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: q has multiplicative order 2\n"
 
     def test_extended_detects_corruption(self, tmp_path, symbolic_rec):
         doc = json.loads(save_recurrence(symbolic_rec, tmp_path / "s.json").read_text())
@@ -275,6 +281,22 @@ class TestBadInput:
     def test_config(self, tmp_path, capsys):
         err = self.run(capsys, "guess", "--n-max", "1", "--out", str(tmp_path))
         assert "n_max must exceed gamma_max" in err
+
+    @pytest.mark.parametrize(
+        "flag, bounds", [("--alpha-max", "(-1, 7, 10)"), ("--beta-max", "(4, -1, 10)")]
+    )
+    def test_negative_bound_writes_nothing(self, tmp_path, capsys, flag, bounds):
+        out = tmp_path / "out"
+        err = self.run(capsys, "pipeline", flag, "-1", "--out", str(out))
+        assert err == f"error: negative ansatz bound in {bounds}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prime, L", [("101", "40"), ("3", "5")])
+    def test_too_few_q_points(self, tmp_path, capsys, prime, L):
+        err = self.run(capsys, "verify", "soichi", "--prime", prime, "--L", L,
+                       "--out", str(tmp_path))
+        assert err == (f"error: p={prime} has fewer than 20 q points of order >= 4*{L}; "
+                       "use a larger prime or a smaller bound\n")
 
     def test_modulus(self, tmp_path, capsys):
         err = self.run(capsys, "cofactors", "--prime", "4", "--out", str(tmp_path))
@@ -545,3 +567,17 @@ class TestMainParsing:
         rc = main(["cofactors", "--q", "5", "--n-max", "12"])
         assert rc == 0
         assert (target / "cofactors-q5-n12.txt").exists()
+
+    def test_defaults_are_the_config_defaults(self, monkeypatch):
+        monkeypatch.delenv("QTSPP_OUT", raising=False)
+        for command in (["cofactors"], ["pipeline"], ["verify", "ct"]):
+            args = cli._build_parser().parse_args(command)
+            assert cli._config_from_args(args) == PipelineConfig()
+
+
+class TestSuiteDeadline:
+    def test_deadline_fails_a_hung_test(self):
+        # conftest's autouse deadline: SIGALRM fails the running test
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        with pytest.raises(pytest.fail.Exception, match="still running after 600 s"):
+            time.sleep(5)

@@ -189,6 +189,16 @@ class TestTableGates:
         with pytest.raises(PrecisionExhausted):
             sweep(support, 2, 3, n_max=19, min_points=1)
 
+    @pytest.mark.parametrize("q, order", [(P.p - 1, 2), (pow(7, (P.p - 1) // 3, P.p), 3)])
+    def test_small_order_is_refused(self, q, order):
+        assert qp(q).order == order
+        with pytest.raises(SingularMatrix, match=f"^q has multiplicative order {order}$"):
+            build_table(12, qp(q))
+
+    def test_q1_is_not_refused(self):
+        assert qp(1).order == 1
+        assert build_table(12, QPoint(1)).q_int == 1
+
     def test_corrupt_kernel_row_fails_orthogonality(self, monkeypatch):
         kernels = cofactors.leading_kernels_mod
 

@@ -70,6 +70,13 @@ class TestPrimeModulus:
             assert PrimeModulus(BIG_P).p == BIG_P
         assert _is_prime.cache_info().hits >= 3
 
+    def test_primality_matches_trial_division(self):
+        def oracle(n):
+            return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        for n in [*range(20001), 2**31 - 1, 3037000493, MAX_MODULUS, MAX_MODULUS + 2]:
+            assert _is_prime(n) == oracle(n), n
+
     def test_rejects_tiny_and_huge(self):
         with pytest.raises(ValueError):
             PrimeModulus(2)

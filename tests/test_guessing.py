@@ -266,6 +266,16 @@ class TestSweep:
         )
         assert coeffs is None and "singular" in reason
 
+    def test_small_order_point_is_logged(self, caplog):
+        # q = p - 1 has order 2: build_table refuses it, and the sweep logs why
+        sup = AnsatzSupport(((0, 0, 0), (0, 0, 1)), (0, 0, 1))
+        with caplog.at_level(logging.WARNING, logger="qtspp.guessing"):
+            assert sweep(sup, P.p - 2, P.p - 1, p=P.p, n_max=12, min_points=0) == []
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sweep skipped q={P.p - 2}: trivial nullspace",
+            f"sweep skipped q={P.p - 1}: singular table: q has multiplicative order 2",
+        ]
+
     def test_full_sweep_survives_everywhere(self, sweep_recs):
         assert [r.q_int for r in sweep_recs] == list(range(2, 151))
 

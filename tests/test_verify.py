@@ -6,7 +6,7 @@ import pytest
 
 from qtspp import okada, verify
 from qtspp.cofactors import build_table, certificate_product
-from qtspp.fieldcore import IntegerPoly, PrimeModulus, SingularMatrix, matvec_mod
+from qtspp.fieldcore import IntegerPoly, InvalidInput, PrimeModulus, SingularMatrix, matvec_mod
 from qtspp.guessing import SymbolicRecurrence
 from qtspp.okada import (
     DegenerateDenominator,
@@ -244,6 +244,17 @@ class TestSelectQPoints:
         b = select_q_points(8, 40, P)
         assert a == b and len(set(a)) == 8
 
+    @pytest.mark.parametrize("p, count, n_bound", [(101, 20, 40), (3, 20, 5), (13, 5, 3)])
+    def test_exhausted_modulus_raises(self, p, count, n_bound):
+        # every candidate in [2, p - 2] is drawn, too few clear the order bound
+        with pytest.raises(InvalidInput, match=rf"^p={p} has fewer than {count} q points"
+                                               rf" of order >= 4\*{n_bound};"):
+            select_q_points(count, n_bound, PrimeModulus(p))
+
+    def test_last_candidate_is_drawn(self):
+        # the four primitive roots mod 13 are all of its q points of order >= 12
+        assert sorted(select_q_points(4, 3, PrimeModulus(13))) == [2, 6, 7, 11]
+
     def test_all_admissible(self):
         for q in select_q_points(12, 50, P, seed=99):
             assert P.multiplicative_order(q % P.p) >= 200
@@ -259,6 +270,11 @@ class TestExtended:
         for q in (151, 155, 160):
             assert q not in symbolic_rec.q_points_used
             assert check_extended(symbolic_rec, q, P.p, 40).passed
+
+    @pytest.mark.parametrize("q, order", [(P.p - 1, 2), (pow(7, (P.p - 1) // 3, P.p), 3)])
+    def test_small_order_is_refused(self, symbolic_rec, q, order):
+        with pytest.raises(SingularMatrix, match=f"^q has multiplicative order {order}$"):
+            check_extended(symbolic_rec, q, P.p, 12)
 
     def test_random_recurrence_fails(self, symbolic_rec):
         rng = random.Random(8)
