@@ -123,15 +123,12 @@ def _discovery_table(config: PipelineConfig, q_int: int, in_path: Path | None) -
     return table.truncated(config.n_max)
 
 
-def _table_stage(
-    config: PipelineConfig, q_int: int, n_max: int, binary: bool = False
-) -> tuple[CofactorTable, Path]:
+def _table_stage(config: PipelineConfig, q_int: int, n_max: int) -> tuple[CofactorTable, Path]:
     """Stage 1: build the certificate table at q_int and save it."""
     t0 = time.perf_counter()
     table = _table(config.modulus(), q_int, n_max)
     elapsed = time.perf_counter() - t0
-    path = config.ensure_out_dir() / f"cofactors-q{q_int}-n{n_max}.{'bin' if binary else 'txt'}"
-    table.save_binary(path) if binary else table.save_text(path)
+    path = table.save_text(config.ensure_out_dir() / f"cofactors-q{q_int}-n{n_max}.txt")
     print(f"wrote {path}: {n_max} rows, {len(table)} values at q={q_int}, p={config.prime} "
           f"({elapsed:.2f}s)")
     return table, path
@@ -173,17 +170,20 @@ def _reconstruct_stage(
     return sym, path
 
 
-def _report_out(config: PipelineConfig, report: VerificationReport, name: str) -> bool:
-    """Save report as report-<name>.json, print its summary, and say whether it passed."""
+def _report_out(config: PipelineConfig, name: str, check, *args) -> bool:
+    """Run and time check(*args), save report-<name>.json, print its summary, say if it passed."""
+    t0 = time.perf_counter()
+    report = check(*args)
+    elapsed = time.perf_counter() - t0
     report.save(config.ensure_out_dir() / f"report-{name}.json")
-    print(report.summary_line())
+    print(f"{report.summary_line()} ({elapsed:.2f}s)")
     return report.passed
 
 
 def _extended_report(config: PipelineConfig, rec, q_int: int, n_ext: int) -> bool:
     """Annihilation of a fresh table to n_ext at q_int, as report-extended-q<q>.json."""
-    report = check_extended(rec, q_int, config.prime, n_ext)
-    return _report_out(config, report, f"extended-q{q_int}")
+    return _report_out(config, f"extended-q{q_int}", check_extended,
+                       rec, q_int, config.prime, n_ext)
 
 
 _IDENTITY_CHECKS = {
@@ -207,16 +207,15 @@ def _identity_reports(
     """Run the identity checks `names` on tables; the q = 1 reports get a -q1 suffix."""
     bound = config.L_q1 if q1 else config.L
     return all([
-        _report_out(config, _IDENTITY_CHECKS[name](tables, bound), f"{name}-q1" if q1 else name)
+        _report_out(config, f"{name}-q1" if q1 else name, _IDENTITY_CHECKS[name], tables, bound)
         for name in names
     ])
 
 
-def _brute_report(config: PipelineConfig) -> bool:
-    """Order-ideal enumeration against the orbit product for n <= 4, as report-brute.json."""
+def _brute_report(config: PipelineConfig) -> VerificationReport:
+    """Order-ideal enumeration against the orbit product for n <= 4."""
     report = VerificationReport("brute-force", 4, [])
     modulus = config.modulus()
-    t0 = time.perf_counter()
     for n in range(1, 5):
         poly = brute_force_qtspp(n)
         for q in select_q_points(30, n, modulus, seed=424242 + n):
@@ -226,8 +225,7 @@ def _brute_report(config: PipelineConfig) -> bool:
             if lhs != rhs:
                 report.record_failure(n=n, q=q, brute=lhs, product=rhs)
         report.details[f"count_n{n}"] = poly(1)
-    report.elapsed = time.perf_counter() - t0
-    return _report_out(config, report, "brute")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +233,9 @@ def _brute_report(config: PipelineConfig) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cmd_cofactors(config: PipelineConfig, q_int: int, binary: bool = False) -> Path:
+def cmd_cofactors(config: PipelineConfig, q_int: int) -> Path:
     """Build and persist the certificate table at one q point."""
-    return _table_stage(config, q_int, config.n_max, binary)[1]
+    return _table_stage(config, q_int, config.n_max)[1]
 
 
 def cmd_guess(config: PipelineConfig, q_int: int = 2, in_path: Path | None = None) -> Path:
@@ -264,9 +262,9 @@ def cmd_verify(config: PipelineConfig, which: str, q_int: int = 2,
         passed = _extended_report(config, load_recurrence(in_path), q_int, config.n_ext)
     elif which == "ct":
         bound = CT_BOUND if ct_bound is None else ct_bound
-        passed = _report_out(config, ct_check_q1(bound), "ct-q1")
+        passed = _report_out(config, "ct-q1", ct_check_q1, bound)
     elif which == "brute":
-        passed = _brute_report(config)
+        passed = _report_out(config, "brute", _brute_report, config)
     else:
         raise WorkbenchError(f"unknown verification {which!r}")
     return 0 if passed else 1
@@ -279,8 +277,8 @@ def cmd_pipeline(config: PipelineConfig, q1: bool = False) -> int:
         table, _ = _table_stage(config, 1, config.L_q1)
         passed = [
             _identity_reports(config, [table], q1=True),
-            _report_out(config, ct_check_q1(min(CT_BOUND, config.L_q1)), "ct-q1-q1"),
-            _brute_report(config),
+            _report_out(config, "ct-q1-q1", ct_check_q1, min(CT_BOUND, config.L_q1)),
+            _report_out(config, "brute", _brute_report, config),
         ]
         return 0 if all(passed) else 1
 
@@ -298,7 +296,7 @@ def cmd_pipeline(config: PipelineConfig, q1: bool = False) -> int:
         stage = 4
         print("== stage 4: recurrence verification ==")
         passed = [
-            _report_out(config, check_leading_factor_vanishing(sym), "leading-factor"),
+            _report_out(config, "leading-factor", check_leading_factor_vanishing, sym),
             _extended_report(config, sym, 2, config.n_ext),
             _extended_report(config, sym, q_fresh, max(config.n_ext // 2, config.n_max + 1)),
         ]
@@ -353,8 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--in", type=Path, default=None, dest="in_path")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("cofactors", parents=[common], help="build a certificate table")
-    p.add_argument("--binary", action="store_true", help="write the compact binary layout")
+    sub.add_parser("cofactors", parents=[common], help="build a certificate table")
     sub.add_parser("guess", parents=[common], help="solve the ansatz system at one q")
     sub.add_parser("reconstruct", parents=[common], help="sweep q points and lift to integer polynomials")
     p = sub.add_parser("verify", parents=[common], help="run a verification program")
@@ -381,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         if args.command == "cofactors":
-            cmd_cofactors(config, 1 if args.q1 else args.q, binary=args.binary)
+            cmd_cofactors(config, 1 if args.q1 else args.q)
             return 0
         if args.command == "guess":
             cmd_guess(config, args.q, args.in_path)

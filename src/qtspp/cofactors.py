@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import io
 import logging
-import struct
 from operator import mul
 from pathlib import Path
 
@@ -43,8 +42,6 @@ from .fieldcore import (
 from .okada import MIN_Q_ORDER, QPoint, entry_matrix, okada_slice
 
 log = logging.getLogger(__name__)
-
-_BINARY_MAGIC = b"QTB1"
 
 
 class CofactorTable:
@@ -87,11 +84,6 @@ class CofactorTable:
         """Array B with B[n, j] = value(n, j), zero padded, 1-based indices."""
         return np.pad(self._b, ((0, 0), (0, extra_cols)))
 
-    def items(self):
-        for n, row in enumerate(self._b.tolist()[1:], start=1):
-            for j in range(1, n + 1):
-                yield n, j, row[j]
-
     def __len__(self):
         return self.n_max * (self.n_max + 1) // 2
 
@@ -124,8 +116,9 @@ class CofactorTable:
     def to_text(self) -> str:
         buf = io.StringIO()
         buf.write(f"{self.q_int} {self.modulus.p} {self.n_max}\n")
-        for n, j, v in self.items():
-            buf.write(f"{n} {j} {v}\n")
+        for n, row in enumerate(self._b.tolist()[1:], start=1):
+            for j in range(1, n + 1):
+                buf.write(f"{n} {j} {row[j]}\n")
         return buf.getvalue()
 
     def save_text(self, path: str | Path) -> Path:
@@ -133,39 +126,9 @@ class CofactorTable:
         path.write_text(self.to_text())
         return path
 
-    def to_binary(self) -> bytes:
-        buf = io.BytesIO()
-        buf.write(_BINARY_MAGIC)
-        buf.write(struct.pack("<QQQ", self.q_int, self.modulus.p, self.n_max))
-        for n, j, v in self.items():
-            buf.write(struct.pack("<IIQ", n, j, v))
-        return buf.getvalue()
-
-    def save_binary(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_bytes(self.to_binary())
-        return path
-
-
-def _table_from_triples(q_int: int, p: int, n_max: int, triples: list) -> CofactorTable:
-    modulus = PrimeModulus(p)
-    # the count is checked first, so a header's n_max allocates nothing the file lacks
-    if len(triples) != n_max * (n_max + 1) // 2:
-        raise ValueError(f"expected {n_max * (n_max + 1) // 2} triples, got {len(triples)}")
-    b = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
-    seen = set()
-    for n, j, v in triples:
-        if not (1 <= j <= n <= n_max):
-            raise ValueError(f"triple ({n}, {j}) outside the triangular domain")
-        if (n, j) in seen:
-            raise ValueError(f"position ({n}, {j}) appears twice")
-        seen.add((n, j))
-        b[n, j] = v % p
-    return CofactorTable(q_int, modulus, b)
-
 
 def load_table(path: str | Path) -> CofactorTable:
-    """Read a table file, auto-detecting the binary or text layout.
+    """Read a table file: a `q p n_max` header line, then one `n j value` line per position.
 
     A file that cannot be read or parsed, or that names a position twice or
     not at all, raises InvalidInput naming the file.
@@ -175,15 +138,24 @@ def load_table(path: str | Path) -> CofactorTable:
     except OSError as exc:
         raise InvalidInput(f"cannot read table file {path}: {exc}") from exc
     try:
-        if data[:4] == _BINARY_MAGIC:
-            q_int, p, n_max = struct.unpack_from("<QQQ", data, 4)
-            triples = list(struct.iter_unpack("<IIQ", data[4 + 24 :]))
-            return _table_from_triples(q_int, p, n_max, triples)
-        lines = data.decode("ascii").splitlines()
-        q_int, p, n_max = (int(t) for t in lines[0].split())
-        triples = [tuple(int(t) for t in line.split()) for line in lines[1:] if line.strip()]
-        return _table_from_triples(q_int, p, n_max, triples)
-    except (ValueError, IndexError, struct.error) as exc:
+        header, *lines = data.decode("ascii").splitlines()
+        q_int, p, n_max = (int(t) for t in header.split())
+        triples = [tuple(int(t) for t in line.split()) for line in lines if line.strip()]
+        modulus = PrimeModulus(p)
+        # the count is checked first, so a header's n_max allocates nothing the file lacks
+        if len(triples) != n_max * (n_max + 1) // 2:
+            raise ValueError(f"expected {n_max * (n_max + 1) // 2} triples, got {len(triples)}")
+        b = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
+        seen = set()
+        for n, j, v in triples:
+            if not (1 <= j <= n <= n_max):
+                raise ValueError(f"triple ({n}, {j}) outside the triangular domain")
+            if (n, j) in seen:
+                raise ValueError(f"position ({n}, {j}) appears twice")
+            seen.add((n, j))
+            b[n, j] = v % p
+        return CofactorTable(q_int, modulus, b)
+    except ValueError as exc:
         raise InvalidInput(f"malformed table file {path}: {exc}") from exc
 
 

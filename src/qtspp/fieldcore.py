@@ -120,16 +120,13 @@ class PrimeModulus:
         if not _is_prime(self.p):
             raise InvalidInput(f"modulus {self.p} is not prime")
 
-    def unit_group_factorization(self) -> tuple[tuple[int, int], ...]:
-        return _factorize(self.p - 1)
-
     def multiplicative_order(self, a: int) -> int:
         """Order of a in GF(p)*; raises ZeroInverse for a = 0 mod p."""
         a %= self.p
         if a == 0:
             raise ZeroInverse("0 has no multiplicative order")
         order = self.p - 1
-        for prime, exp in self.unit_group_factorization():
+        for prime, exp in _factorize(self.p - 1):
             for _ in range(exp):
                 if pow(a, order // prime, self.p) == 1:
                     order //= prime

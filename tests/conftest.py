@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import signal
 import sys
@@ -6,6 +8,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from qtspp.cli import main  # noqa: E402
 from qtspp.cofactors import build_table  # noqa: E402
 from qtspp.fieldcore import PrimeModulus  # noqa: E402
 from qtspp.guessing import (  # noqa: E402
@@ -77,3 +80,14 @@ def sweep_recs(refined, modular_rec, modulus):
 @pytest.fixture(scope="session")
 def symbolic_rec(sweep_recs):
     return reconstruct_symbolic(sweep_recs)
+
+
+@pytest.fixture(scope="session")
+def order8_run(tmp_path_factory):
+    """`qtspp pipeline --workers 2 --beta-max 8 --gamma-max 8`: exit status, stdout, directory."""
+    out = tmp_path_factory.mktemp("order8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["pipeline", "--workers", "2", "--beta-max", "8", "--gamma-max", "8",
+                   "--out", str(out)])
+    return rc, stdout.getvalue(), out

@@ -1,9 +1,16 @@
+import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import json
+import re
 import shutil
 import signal
+import struct
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +37,8 @@ from qtspp.guessing import (
 from qtspp.okada import QPoint
 
 P = PrimeModulus()
-FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "recurrence-symbolic.json"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "perfbench" / "fixtures" / "recurrence-symbolic.json"
 SMALL_RECURRENCE = SymbolicRecurrence(
     support=AnsatzSupport(((0, 0, 0), (0, 0, 1))),
     pivot_term=(0, 0, 0),
@@ -43,6 +51,19 @@ SMALL_RECURRENCE = SymbolicRecurrence(
 def config(tmp_path, **kw):
     kw.setdefault("out_dir", tmp_path)
     return PipelineConfig(**kw)
+
+
+#: Seconds the clock of tick_clock advances per reading (exact in binary).
+TICK = 1.25
+
+
+def tick_clock(monkeypatch):
+    """Replace cli's clock by one that advances TICK seconds per reading."""
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=itertools.count(0, TICK).__next__))
+
+
+def report_lines(stdout: str) -> list[str]:
+    return [line for line in stdout.splitlines() if line.startswith(("PASS ", "FAIL "))]
 
 
 def implausible_recurrence(monkeypatch):
@@ -97,11 +118,9 @@ class TestCofactorsCommand:
         p2 = cmd_cofactors(c, 7).read_bytes()
         assert p1 == p2
 
-    def test_binary_format(self, tmp_path):
-        c = config(tmp_path, n_max=11)
-        path = cmd_cofactors(c, 7, binary=True)
-        assert path.suffix == ".bin"
-        assert load_table(path) == build_table(11, QPoint(7, P))
+    def test_binary_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["cofactors", "--binary", "--out", str(tmp_path)])
 
     def test_refuses_tiny_order(self, tmp_path, capsys):
         # p - 1 has multiplicative order 2 < MIN_Q_ORDER
@@ -308,6 +327,12 @@ class TestBadInput:
         err = self.run(capsys, "guess", "--n-max", "12", "--in", str(bad), "--out", str(tmp_path))
         assert f"malformed table file {bad}" in err
 
+    def test_retired_binary_table_file(self, tmp_path, capsys):
+        old = tmp_path / "t.bin"
+        old.write_bytes(b"QTB1" + struct.pack("<QQQ", 2, P.p, 1) + struct.pack("<IIQ", 1, 1, 1))
+        err = self.run(capsys, "guess", "--n-max", "12", "--in", str(old), "--out", str(tmp_path))
+        assert err.startswith(f"error: malformed table file {old}: ") and err.count("\n") == 1
+
     def test_repeated_position(self, tmp_path, capsys):
         bad = tmp_path / "twice.txt"
         bad.write_text("2 2147483647 2\n1 1 1\n2 1 5\n2 1 5\n")
@@ -499,12 +524,20 @@ def fixture_sweep(refined, modular_rec, sweep_recs):
 
 
 @pytest.fixture(scope="module")
-def pipeline_dir(tmp_path_factory, fixture_sweep):
+def pipeline_run(tmp_path_factory, fixture_sweep):
+    """The default pipeline's directory and stdout, with the session sweep and a ticking clock."""
     out = tmp_path_factory.mktemp("pipeline")
-    with pytest.MonkeyPatch.context() as mp:
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
         mp.setattr(cli, "sweep", fixture_sweep)
+        tick_clock(mp)
         assert cmd_pipeline(PipelineConfig(out_dir=out)) == 0
-    return out
+    return out, stdout.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(pipeline_run):
+    return pipeline_run[0]
 
 
 class TestPipelineArtifacts:
@@ -533,6 +566,69 @@ class TestPipelineArtifacts:
         assert "wrote" in capsys.readouterr().out
         for name in ("recurrence-modular-q2.json", "recurrence-symbolic.json"):
             assert digests(tmp_path)[name] == PIPELINE_SHA256[name]
+
+
+#: sha256 of recurrence-symbolic.json from `pipeline --beta-max 8 --gamma-max 8`.
+ORDER8_SYMBOLIC_SHA256 = "defa5f328c79f080f1d32d281406047deaddfd2f682c0da04f0f396c5e90ffbc"
+
+
+class TestOrderEightPipeline:
+    """`pipeline --workers 2 --beta-max 8 --gamma-max 8` finds an order-8 recurrence."""
+
+    def test_every_stage_passes(self, order8_run):
+        rc, stdout, _ = order8_run
+        assert rc == 0
+        lines = report_lines(stdout)
+        assert [line.split()[:2] for line in lines] == [
+            ["PASS", name] for name in
+            ("leading-factor", "extended", "extended", "normalization", "soichi", "okada")
+        ]
+
+    def test_fingerprints(self, order8_run):
+        out = order8_run[2]
+        rec = load_recurrence(out / "recurrence-modular-q2.json")
+        assert (rec.nullspace_dim, rec.zero_count(), len(rec.support)) == (1, 96, 405)
+        path = out / "recurrence-symbolic.json"
+        sym = load_recurrence(path)
+        assert len(sym.coefficients) == 309
+        assert sym.max_abs_coefficient() == 12
+        assert max(c.degree for c in sym.coefficients) == 50
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ORDER8_SYMBOLIC_SHA256
+
+
+class TestReportTiming:
+    """Each report line carries the time _report_out measured around its check."""
+
+    def test_pipeline(self, pipeline_run):
+        lines = report_lines(pipeline_run[1])
+        assert len(lines) == 6 and lines[0].startswith("PASS leading-factor")
+        assert all(line.endswith(f" ({TICK:.2f}s)") for line in lines), lines
+
+    def test_verify_brute(self, tmp_path, capsys, monkeypatch):
+        tick_clock(monkeypatch)
+        assert main(["verify", "brute", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"PASS brute-force bound=4 checks=120 failures=0 ({TICK:.2f}s)\n"
+
+
+class TestReadme:
+    """The README's flag list and command table follow cli._build_parser()."""
+
+    TEXT = (ROOT / "README.md").read_text()
+
+    def subcommands(self) -> dict[str, argparse.ArgumentParser]:
+        action = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_flags(self):
+        listed = re.search(r"Flags: `([^`]*)`", self.TEXT).group(1).split()
+        parsed = {opt for parser in self.subcommands().values() for action in parser._actions
+                  for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+        assert sorted(listed) == sorted(parsed)
+
+    def test_command_table(self):
+        listed = set(re.findall(r"^\| `([a-z]+)[^`]*` \|", self.TEXT, flags=re.MULTILINE))
+        assert listed == set(self.subcommands())
 
 
 class TestPlausibilityGate:

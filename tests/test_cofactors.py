@@ -290,19 +290,6 @@ class TestPersistence:
         again = back.save_text(tmp_path / "t2.txt")
         assert path.read_bytes() == again.read_bytes()
 
-    def test_binary_round_trip(self, tmp_path):
-        t = build_table(7, qp(11))
-        path = t.save_binary(tmp_path / "t.bin")
-        back = load_table(path)
-        assert back == t
-        assert back.to_binary() == path.read_bytes()
-
-    def test_formats_agree(self, tmp_path):
-        t = build_table(5, qp(23))
-        a = load_table(t.save_text(tmp_path / "a.txt"))
-        b = load_table(t.save_binary(tmp_path / "b.bin"))
-        assert a == b
-
     def test_header_and_sorting(self, tmp_path):
         t = build_table(3, qp(9))
         lines = t.to_text().splitlines()
@@ -318,14 +305,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"\(2, 1\) appears twice"):
             load_table(bad)
 
-    def test_rejects_duplicate_position_binary(self, tmp_path):
-        triples = [(1, 1, 1), (2, 1, 5), (2, 1, 7)]
-        data = b"QTB1" + struct.pack("<QQQ", 3, P.p, 2)
-        data += b"".join(struct.pack("<IIQ", *t) for t in triples)
-        bad = tmp_path / "dup.bin"
-        bad.write_bytes(data)
-        with pytest.raises(ValueError, match=r"\(2, 1\) appears twice"):
-            load_table(bad)
+    def test_rejects_the_retired_binary_layout(self, tmp_path):
+        # magic, a (q, p, n_max) header and (n, j, value) triples, little endian
+        t = build_table(3, qp(9))
+        data = b"QTB1" + struct.pack("<QQQ", 9, P.p, 3)
+        data += b"".join(struct.pack("<IIQ", n, j, t.value(n, j))
+                         for n in range(1, 4) for j in range(1, n + 1))
+        old = tmp_path / "t.bin"
+        old.write_bytes(data)
+        with pytest.raises(InvalidInput) as exc:
+            load_table(old)
+        assert str(exc.value).startswith(f"malformed table file {old}: ")
 
     def test_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -334,9 +324,9 @@ class TestPersistence:
             load_table(bad)
 
     def test_header_is_checked_before_allocating(self, tmp_path):
-        # a 44-byte file whose header claims n_max = 4000 (8,002,000 triples)
-        bad = tmp_path / "short.bin"
-        bad.write_bytes(b"QTB1" + struct.pack("<QQQ", 3, P.p, 4000) + struct.pack("<IIQ", 1, 1, 1))
+        # a two-line file whose header claims n_max = 4000 (8,002,000 triples)
+        bad = tmp_path / "short.txt"
+        bad.write_text(f"3 {P.p} 4000\n1 1 1\n")
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInput, match=rf"{bad.name}.*expected 8002000 triples, got 1"):

@@ -7,7 +7,7 @@ import pytest
 from qtspp import okada, verify
 from qtspp.cofactors import build_table, certificate_product
 from qtspp.fieldcore import IntegerPoly, InvalidInput, PrimeModulus, SingularMatrix, matvec_mod
-from qtspp.guessing import SymbolicRecurrence
+from qtspp.guessing import SymbolicRecurrence, load_recurrence
 from qtspp.okada import (
     DegenerateDenominator,
     QPoint,
@@ -308,6 +308,20 @@ class TestLeadingFactor:
         rep = check_leading_factor_vanishing(fake, trials=30)
         assert not rep.passed
 
+    # moves of one factor's exponent that do not land on another of the six
+    @pytest.mark.parametrize(
+        "kind, delta", [(0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (3, 1), (4, -1), (5, 1)]
+    )
+    def test_exponent_off_by_one_fails_the_order_8_run(self, order8_run, monkeypatch, kind, delta):
+        sym = load_recurrence(order8_run[2] / "recurrence-symbolic.json")
+        assert check_leading_factor_vanishing(sym).passed
+        offsets = list(verify.LEADING_FACTOR_OFFSETS)
+        offsets[kind] -= delta
+        monkeypatch.setattr(verify, "LEADING_FACTOR_OFFSETS", tuple(offsets))
+        rep = check_leading_factor_vanishing(sym)
+        assert len(rep.failures) == len(range(kind, 200, 6))
+        assert {f["factor"] for f in rep.failures} == {kind}
+
 
 class TestConstantTermRoute:
     def test_exact_rows_match_modular(self):
@@ -387,6 +401,6 @@ class TestReportSerialization:
         p1 = rep.save(tmp_path / "r1.json")
         rep2 = check_soichi(t, 6)
         p2 = rep2.save(tmp_path / "r2.json")
-        # elapsed differs between runs but the serialized form must not
+        # a report holds evidence only, so a rerun serializes identically
         assert p1.read_bytes() == p2.read_bytes()
         assert rep.summary_line().startswith("PASS soichi")
