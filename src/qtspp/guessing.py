@@ -196,22 +196,6 @@ class SymbolicRecurrence:
 # ---------------------------------------------------------------------------
 
 
-def _term_columns(table: CofactorTable, support: AnsatzSupport):
-    """Each term's column q**(alpha*n + beta*j) * B(n, j + gamma) mod p.
-
-    The entries run over the table positions (n, j), 1 <= j <= n <= n_max,
-    in np.tril_indices order, with B read as 0 outside the triangle.
-    """
-    p = table.modulus.p
-    ns, js = (idx + 1 for idx in np.tril_indices(table.n_max))
-    b = table.padded(extra_cols=support.max_shift_j)
-    at = ns * b.shape[1] + js  # (n, j) as an index into b.ravel()
-    b = b.ravel()
-    pw = table.qpoint().qpow(max((alpha + beta) * table.n_max for alpha, beta, _ in support))
-    for alpha, beta, gamma in support:
-        yield pw[alpha * ns + beta * js] * b[at + gamma] % p
-
-
 def build_equations(table: CofactorTable, support: AnsatzSupport) -> np.ndarray:
     """One equation per table position (n, j); one column per ansatz term.
 
@@ -224,9 +208,19 @@ def build_equations(table: CofactorTable, support: AnsatzSupport) -> np.ndarray:
         raise InsufficientData(
             f"table n_max={table.n_max} must exceed the largest j shift {support.max_shift_j}"
         )
+    p = table.modulus.p
+    ns, js = (idx + 1 for idx in np.tril_indices(table.n_max))
+    b = table.padded(extra_cols=support.max_shift_j)
+    at = ns * b.shape[1] + js  # (n, j) as an index into b.ravel()
+    b = b.ravel()
+    terms = np.array(support.terms)
+    pw = table.qpoint().qpow(int((terms[:, 0] + terms[:, 1]).max()) * table.n_max)
     cols = np.empty((len(table), len(support)), dtype=np.int64)
-    for k, col in enumerate(_term_columns(table, support)):
-        cols[:, k] = col
+    gammas = terms[:, 2]  # ascending: the support is sorted by (gamma, beta, alpha)
+    for gamma in range(support.max_shift_j + 1):
+        lo, hi = np.searchsorted(gammas, [gamma, gamma + 1])
+        exps = np.outer(ns, terms[lo:hi, 0]) + np.outer(js, terms[lo:hi, 1])
+        cols[:, lo:hi] = pw[exps] * b[at + gamma, None] % p
     return cols
 
 
@@ -290,19 +284,33 @@ def _specialized_coefficients(
 def annihilation_residuals(
     rec: ModularRecurrence | SymbolicRecurrence, table: CofactorTable
 ) -> np.ndarray:
-    """Residual grid R[n, j] over the whole triangle, vectorized.
+    """Residual grid R[n, j] over the whole triangle, one Horner evaluation per shift.
 
     R[n, j] for 1 <= j <= n <= n_max; entries outside the triangle are zero.
     A symbolic recurrence is specialized at the table's q point first.
+
+    With X = q**n and Y = q**j, q**(alpha*n + beta*j) = X**alpha * Y**beta,
+    so R[n, j] = sum over gamma of B(n, j + gamma) * P_gamma(X, Y), where
+    P_gamma is the sum of c[alpha, beta, gamma] * X**alpha * Y**beta over
+    the terms of shift gamma.  Each P_gamma is evaluated on the n_max x n_max
+    grid by Horner steps in Y on the vector of q**j, then in X (_poly_eval);
+    above the diagonal every B(n, j + gamma) reads 0, and so does R.  Every
+    product is reduced mod p before it is summed.  _mul_mod is never called:
+    it is the product kernel of the elimination whose output this check
+    certifies, so a fault there cannot hide from it.
     """
-    p = table.modulus.p
-    coeffs = _specialized_coefficients(rec, table)
-    acc = np.zeros(len(table), dtype=np.int64)
-    for c, col in zip(coeffs, _term_columns(table, rec.support)):
-        acc += col * int(c) % p
-        acc %= p
-    grid = np.zeros((table.n_max + 1, table.n_max + 1), dtype=np.int64)
-    grid[1:, 1:][np.tril_indices(table.n_max)] = acc
+    p, n_max = table.modulus.p, table.n_max
+    alpha, beta, gamma = np.array(rec.support.terms).T
+    poly = np.zeros((gamma.max() + 1, beta.max() + 1, alpha.max() + 1), dtype=np.int64)
+    poly[gamma, beta, alpha] = _specialized_coefficients(rec, table)
+    powers = table.qpoint().qpow(n_max)[1:]  # q**k for k = 1..n_max
+    b = table.padded(extra_cols=rec.support.max_shift_j)
+    grid = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
+    for g in range(len(poly)):
+        in_y = _poly_eval(poly[g, :, :, None], powers, p)  # [alpha, j]
+        at = _poly_eval(in_y, powers[:, None], p)  # P_g(q**n, q**j) at [n, j]
+        grid[1:, 1:] += b[1:, 1 + g : 1 + g + n_max] * at % p
+        grid %= p
     return grid
 
 

@@ -174,24 +174,29 @@ def okada_slice(n: int, qpt: QPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _layer(n: int, qpt: QPoint) -> int:
+def _layer_factors(L: int, qpt: QPoint):
+    """factors[m] = 1 - q**m, or m at q = 1, for m < 3L: every factor of layers 1..L."""
+    return range(3 * L) if qpt.is_unit else [1 - x for x in qpt.qpow(3 * L - 1).tolist()]
+
+
+def _layer(n: int, qpt: QPoint, factors=None) -> int:
     """The k = n layer of the orbit product, telescoped over j.
 
-    prod over i <= n of (1 - q**(2n+i-1)) / (1 - q**(n+2i-2)), the factor
-    1 - q**m reading m at q = 1.  A vanishing denominator factor raises
-    DegenerateDenominator.
+    prod over i <= n of (1 - q**(2n+i-1)) / (1 - q**(n+2i-2)), read from
+    factors (_layer_factors of any L >= n; built for n alone when omitted).
+    A vanishing denominator factor raises DegenerateDenominator.
     """
     p = qpt.modulus.p
-    # factor[m] is 1 - q**m, or m at q = 1, for m < 3n
-    factor = range(3 * n) if qpt.is_unit else [1 - x for x in qpt.qpow(3 * n - 1).tolist()]
+    if factors is None:
+        factors = _layer_factors(n, qpt)
     num = den = 1
     for i in range(1, n + 1):
-        d = factor[n + 2 * i - 2] % p
+        d = factors[n + 2 * i - 2] % p
         if d == 0:
             raise DegenerateDenominator(
                 f"1 - q**{n + 2 * i - 2} = 0 mod p at q={qpt.q_int} (order {qpt.order})"
             )
-        num = num * factor[2 * n + i - 1] % p
+        num = num * factors[2 * n + i - 1] % p
         den = den * d % p
     return num * _inv_mod(den, p) % p
 
@@ -224,18 +229,19 @@ def qtspp_count_exact(n: int) -> int:
     return acc.numerator
 
 
-def nice_ratio(n: int, qpt: QPoint) -> int:
+def nice_ratio(n: int, qpt: QPoint, factors=None) -> int:
     """Squared outer-layer ratio: the k = n slice of the conjectured product.
 
     Equals prod over 1 <= i <= j <= n of
     ((1 - q**(i+j+n-1)) / (1 - q**(i+j+n-2)))**2, evaluated as the square of
     the telescoped layer, so the product of nice_ratio(1..n) is
     qtspp_orbit_product(n)**2.  It raises DegenerateDenominator exactly when
-    q's order divides some n + 2i - 2 with i <= n.
+    q's order divides some n + 2i - 2 with i <= n.  A caller that checks
+    many layers passes the factors once (_layer_factors of any L >= n).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _layer(n, qpt) ** 2 % qpt.modulus.p
+    return _layer(n, qpt, factors) ** 2 % qpt.modulus.p
 
 
 def nice_ratio_q1_exact(n: int) -> Fraction:

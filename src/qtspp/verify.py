@@ -40,6 +40,7 @@ from .guessing import (
 )
 from .okada import (
     QPoint,
+    _layer_factors,
     has_admissible_order,
     nice_ratio,
     nice_ratio_q1_exact,
@@ -172,8 +173,9 @@ def check_okada(tables, L: int | None = None) -> VerificationReport:
     report = VerificationReport("okada", L, [t.q_int for t in tables])
     for table in tables:
         qpt = table.qpoint()
+        factors = _layer_factors(L, qpt)
         for n, lhs in enumerate(np.diagonal(certificate_product(table, L)).tolist(), start=1):
-            rhs = nice_ratio(n, qpt)
+            rhs = nice_ratio(n, qpt, factors)
             report.checks += 1
             if lhs != rhs:
                 report.record_failure(q=table.q_int, n=n, lhs=lhs, rhs=rhs)

@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from qtspp import fieldcore  # noqa: E402
 from qtspp.cli import main  # noqa: E402
 from qtspp.cofactors import build_table  # noqa: E402
 from qtspp.fieldcore import PrimeModulus  # noqa: E402
@@ -36,6 +37,25 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def corrupt_products(monkeypatch):
+    """A function that, once called, makes every nonempty fieldcore._mul_mod
+    product wrong by 1 in its first entry: a fault in the elimination kernel."""
+
+    def arm():
+        clean = fieldcore._mul_mod
+
+        def corrupted(a, b, p):
+            out = clean(a, b, p)
+            if out.size:
+                out.flat[0] = (out.flat[0] + 1) % p
+            return out
+
+        monkeypatch.setattr(fieldcore, "_mul_mod", corrupted)
+
+    return arm
 
 
 @pytest.fixture(scope="session")

@@ -412,19 +412,6 @@ class TestBlockedEchelon:
         assert same_echelon(m[staircase_rows(rows, 35), ::-1], P.p)
 
     @staticmethod
-    def corrupt_products(monkeypatch):
-        """Make every nonempty _mul_mod product wrong by 1 in its first entry."""
-        clean = fieldcore._mul_mod
-
-        def corrupted(a, b, p):
-            out = clean(a, b, p)
-            if out.size:
-                out.flat[0] = (out.flat[0] + 1) % p
-            return out
-
-        monkeypatch.setattr(fieldcore, "_mul_mod", corrupted)
-
-    @staticmethod
     def drop_an_active_row(monkeypatch) -> list:
         """Make _active_span lose its first row once per entry of the returned list.
 
@@ -467,14 +454,14 @@ class TestBlockedEchelon:
             f"sweep q={q}: nonzero residual, falling back to the nullspace" for q in (2, 3, 4)
         ]
 
-    def test_corrupted_product_fails_the_reference(self, monkeypatch):
+    def test_corrupted_product_fails_the_reference(self, corrupt_products):
         a = np.random.default_rng(5).integers(0, P.p, size=(100, 120))
         assert same_echelon(a, P.p)
-        self.corrupt_products(monkeypatch)
+        corrupt_products()
         assert not same_echelon(a, P.p)
 
     def test_corrupted_product_never_reaches_the_sweep(
-        self, refined, modular_rec, monkeypatch, caplog
+        self, refined, modular_rec, corrupt_products, caplog
     ):
         # the fixed-row certificate is a matvec_mod residual on all 630 rows,
         # which no _mul_mod product enters
@@ -482,7 +469,7 @@ class TestBlockedEchelon:
         jobs = [(q, P.p, 35, refined, modular_rec.pivot_term) for q in (2, 3, 4)]
         clean = [guessing._sweep_one(job, rows) for job in jobs]
         assert all(r[1] is not None for r in clean)
-        self.corrupt_products(monkeypatch)
+        corrupt_products()
         with caplog.at_level(logging.INFO, logger="qtspp.guessing"):
             for job, want in zip(jobs, clean):
                 got = guessing._sweep_one(job, rows)

@@ -37,6 +37,7 @@ from qtspp.guessing import (
     sweep,
 )
 from qtspp.okada import QPoint
+from qtspp.verify import check_extended
 
 P = PrimeModulus()
 ROOT = Path(__file__).resolve().parents[1]
@@ -188,14 +189,30 @@ class TestApplyRecurrence:
     @staticmethod
     def scalar_residuals(rec, table):
         """R[n, j] term by term through table.value: the vectorized grid's oracle."""
-        q, coeffs = table.q_int, rec.specialize(table.q_int)
+        q, p = table.q_int, table.modulus.p
+        if isinstance(rec, ModularRecurrence):
+            coeffs = rec.coefficients
+        else:
+            coeffs = rec.specialize(q, p)
         grid = np.zeros((table.n_max + 1, table.n_max + 1), dtype=np.int64)
         for n in range(1, table.n_max + 1):
             for j in range(1, n + 1):
                 grid[n, j] = sum(
-                    int(c) * pow(q, alpha * n + beta * j, P.p) * table.value(n, j + gamma)
+                    int(c) * pow(q, alpha * n + beta * j, p) * table.value(n, j + gamma)
                     for c, (alpha, beta, gamma) in zip(coeffs, rec.support.terms)
-                ) % P.p
+                ) % p
+        return grid
+
+    @staticmethod
+    def modular(support, table, coeffs):
+        return ModularRecurrence(
+            support, table.q_int, table.modulus.p, coeffs, support.terms[0], 1
+        )
+
+    def assert_matches_oracle(self, rec, table):
+        grid = annihilation_residuals(rec, table)
+        assert grid.shape == (table.n_max + 1, table.n_max + 1)
+        assert np.array_equal(grid, self.scalar_residuals(rec, table))
         return grid
 
     def test_matches_scalar_evaluation(self):
@@ -216,6 +233,66 @@ class TestApplyRecurrence:
         want[1:, 1:][np.tril_indices(35)] = matvec_mod(eqs, rec.specialize(7), P.p)
         grid = annihilation_residuals(rec, table)
         assert grid.any() and np.array_equal(grid, want)
+
+    def test_residues_near_the_largest_modulus(self):
+        # every residue is within 1000 of p: a Horner step reaches (p - 1) * p < 2**63
+        big = PrimeModulus(3037000493)
+        rng = np.random.default_rng(11)
+        b = np.tril(big.p - rng.integers(1, 1000, size=(21, 21)))
+        b[0] = b[:, 0] = 0
+        table = CofactorTable(big.p - 2, big, b)
+        support = load_recurrence(FIXTURE).support
+        rec = self.modular(support, table, big.p - rng.integers(1, 1000, size=len(support)))
+        assert self.assert_matches_oracle(rec, table)[1:, 1:][np.tril_indices(20)].all()
+
+    def test_random_modular_recurrence(self):
+        table = build_table(30, qp(12345))
+        support = load_recurrence(FIXTURE).support
+        rng = np.random.default_rng(12)
+        rec = self.modular(support, table, rng.integers(1, P.p, size=len(support)))
+        assert self.assert_matches_oracle(rec, table)[1:, 1:][np.tril_indices(30)].all()
+
+    def test_support_with_missing_pairs(self):
+        # gammas 0, 2 and 9 only, and few (alpha, beta) pairs within each
+        support = AnsatzSupport(((0, 0, 0), (3, 0, 2), (0, 5, 2), (2, 7, 9), (4, 1, 9)))
+        table = noise_table(25, 7)
+        rec = self.modular(support, table, [1, 5, P.p - 1, 123456789, 2])
+        assert self.assert_matches_oracle(rec, table).any()
+
+    @pytest.mark.parametrize("n_max", [1, 2, 9])
+    def test_tables_at_or_below_the_largest_shift(self, n_max):
+        support = load_recurrence(FIXTURE).support
+        assert support.max_shift_j == 10
+        table = noise_table(n_max, 5)
+        coeffs = np.random.default_rng(n_max).integers(1, P.p, size=len(support))
+        assert self.assert_matches_oracle(self.modular(support, table, coeffs), table).any()
+
+    def test_one_coefficient_off_by_one(self):
+        rec = load_recurrence(FIXTURE)
+        table = build_table(20, qp(3))
+        coeffs = rec.specialize(3)
+        k = rec.support.terms.index((2, 3, 4))
+        coeffs[k] = (coeffs[k] + 1) % P.p
+        grid = self.assert_matches_oracle(self.modular(rec.support, table, coeffs), table)
+        # the bad term adds q**(2n + 3j) * B(n, j + 4), nonzero exactly where j + 4 <= n
+        n, j = np.indices(grid.shape)
+        assert np.array_equal(grid != 0, (j >= 1) & (j + 4 <= n))
+
+    def test_independent_of_the_elimination_kernel(self, corrupt_products):
+        # the check certifies what the elimination found, so a faulty
+        # _mul_mod must leave the residual grid and the extended report alone
+        rec = load_recurrence(FIXTURE)
+        table = build_table(40, qp(11))
+        tables = (table, table.with_value(30, 4, table.value(30, 4) + 1))
+        grids = [annihilation_residuals(rec, t) for t in tables]
+        report = check_extended(rec, 11, P.p, 40).to_json()
+        eqs = build_equations(table, rec.support)
+        kernel = nullspace_mod(eqs, P.p)
+        corrupt_products()
+        assert not np.array_equal(nullspace_mod(eqs, P.p), kernel)  # the fault is live
+        for t, want in zip(tables, grids):
+            assert np.array_equal(annihilation_residuals(rec, t), want)
+        assert grids[1].any() and check_extended(rec, 11, P.p, 40).to_json() == report
 
     def test_q_point_mismatch(self, table_q2, modular_rec):
         other = build_table(35, qp(3))

@@ -220,7 +220,9 @@ class TestCertificateProduct:
         assert has_admissible_order(12345, P, 30)
         table = build_table(30, qp(12345))
         layer = okada._layer
-        monkeypatch.setattr(okada, "_layer", lambda n, qpt: (layer(n, qpt) + (n == k)) % P.p)
+        monkeypatch.setattr(
+            okada, "_layer", lambda n, qpt, factors=None: (layer(n, qpt, factors) + (n == k)) % P.p
+        )
         assert [f["n"] for f in check_okada(table, 30).failures] == [k]
 
 
