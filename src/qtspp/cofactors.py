@@ -15,9 +15,10 @@ SingularMatrix that check_q_order raises.
 
 Okada's identity is one matrix product, certificate_product: R = A B^T, A
 the entry matrix and B the table, is lower triangular (orthogonality) with
-the layer ratios on its diagonal; build_table, the identity checks and
-det_certified all read R.  Independent oracles: direct determinant
-elimination and a minors-based cofactor computation at small sizes.
+the layer ratios on its diagonal.  build_table computes R once per table,
+read-only; the identity checks and det_certified read its leading blocks.
+Independent oracles: direct determinant elimination and a minors-based
+cofactor computation at small sizes.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ class CofactorTable:
     Stored as one lower-triangular int64 array b[n, j], 1-based, so values
     for j <= 0 and j > n read as 0 (the zero extension the recurrence
     machinery relies on).  Instances are immutable; perturbed copies for
-    fault-injection tests come from with_value().
+    fault-injection tests come from with_value().  _r caches the table's
+    certificate product; copies and loaded tables compute their own.
     """
 
-    __slots__ = ("n_max", "q_int", "modulus", "_b")
+    __slots__ = ("n_max", "q_int", "modulus", "_b", "_r")
 
     def __init__(self, q_int: int, modulus: PrimeModulus, b: np.ndarray):
         b = np.mod(np.asarray(b, dtype=np.int64), modulus.p)
@@ -65,6 +67,7 @@ class CofactorTable:
         self.q_int = q_int
         self.modulus = modulus
         self._b = b
+        self._r: np.ndarray | None = None
 
     def qpoint(self) -> QPoint:
         return QPoint(self.q_int, self.modulus)
@@ -269,9 +272,10 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     p**PADIC_PRECISION to an untouched entry matrix before its least p-power
     is divided out, leaving p**s times the rational row (s > 0 is seen only
     by the normalization check: every other identity is homogeneous within
-    a row).  Every row is then checked at once: the certificate product
-    must vanish above its diagonal, or SingularMatrix names the first row
-    that fails, as does a lifted row failing its check mod p**PADIC_PRECISION.
+    a row).  Every row is then checked at once: the certificate product, from
+    the entry matrix eliminated and kept on the table, must vanish above its
+    diagonal, or SingularMatrix names the first row that fails, as does a
+    lifted row failing its check mod p**PADIC_PRECISION.
     A q point of too small an order is refused first (check_q_order).
     """
     check_q_order(qpt)
@@ -279,7 +283,8 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
         raise InvalidInput("n_max must be >= 1")
     p = qpt.modulus.p
     pk = p**PADIC_PRECISION
-    rows = leading_kernels_mod(okada_slice(n_max, qpt), p)
+    a = okada_slice(n_max, qpt)
+    rows = leading_kernels_mod(a, p)
     lifted = [n for n in range(2, n_max + 1) if n not in rows]
     if lifted:  # rows < n - 1 and columns < n of the entry matrix serve row n
         whole = entry_matrix(lifted[-1], qpt.q_int, pk).tolist()[:-1]
@@ -304,24 +309,34 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
     for n, x in rows.items():
         b[n, 1 : n + 1] = x
     table = CofactorTable(qpt.q_int, qpt.modulus, b)
-    bad = np.nonzero(np.triu(certificate_product(table, n_max), 1).any(axis=0))[0]
+    bad = np.nonzero(np.triu(_store_product(table, a), 1).any(axis=0))[0]
     if bad.size:
         n = int(bad[0]) + 1
         raise SingularMatrix(f"row n={n} fails the orthogonality identity at q={qpt.q_int}", n)
     return table
 
 
+def _store_product(table: CofactorTable, a: np.ndarray) -> np.ndarray:
+    """The table's R = A B^T from its n_max x n_max entry matrix a, kept read-only."""
+    r = _mul_mod(a, table._b[1:, 1:].T, table.modulus.p)
+    r.flags.writeable = False
+    table._r = r
+    return r
+
+
 def certificate_product(table: CofactorTable, L: int) -> np.ndarray:
-    """R = A B^T mod p for n <= L, A the entry matrix and B the table.
+    """R = A B^T mod p for n <= L, A the entry matrix and B the table (read-only).
 
     R[i-1, n-1] is the sum over j of a(i, j) B(n, j).  Orthogonality of every
     row n <= L says R is lower triangular; its diagonal holds the layer
-    ratios (Okada's identity), whose product is the determinant.
+    ratios (Okada's identity), whose product is the determinant.  As B(n, j)
+    vanishes for j > n, it is the leading block of the table's whole R.
     """
     if L > table.n_max:
         raise ValueError(f"table at q={table.q_int} covers only n <= {table.n_max}")
-    b = table._b[1 : L + 1, 1 : L + 1]
-    return _mul_mod(okada_slice(L, table.qpoint()), b.T, table.modulus.p)
+    if table._r is None:
+        _store_product(table, okada_slice(table.n_max, table.qpoint()))
+    return table._r[:L, :L]
 
 
 # ---------------------------------------------------------------------------

@@ -163,12 +163,18 @@ def leading_kernels_mod(a: np.ndarray, p: int) -> dict[int, np.ndarray]:
     columns 0..n-2 are rows 0..n-2 exactly when the minor is a unit; row n-1
     is then e[n-1] minus pivot rows with zeros in columns 0..n-2, and its
     identity half is the kernel vector of n.
+
+    Each step updates only the columns the pivot row can reach, one slice:
+    an unused row is zero in the left half before column k, and its identity
+    half past the highest pivot row so far.  Rows to update that form one
+    run are updated through a slice, others through an index array.
     """
     rows, cols = a.shape
     m = np.concatenate([a.T % p, np.eye(cols, dtype=np.int64)], axis=1)
     unused = np.ones(cols, dtype=bool)
     out = {}
     last = min(cols - 1, rows)
+    end = rows  # one past the last column any pivot row reaches
     for k in range(last + 1):
         if not unused[:k].any():
             out[k + 1] = m[k, rows : rows + k + 1].copy()
@@ -179,10 +185,13 @@ def leading_kernels_mod(a: np.ndarray, p: int) -> dict[int, np.ndarray]:
             break  # rows 0..k of a are dependent: no later minor is a unit
         piv = nz[0]
         unused[piv] = False
-        m[piv] = m[piv] * _inv_mod(int(m[piv, k]), p) % p
+        end = max(end, rows + piv + 1)
+        prow = m[piv, k:end] = m[piv, k:end] * _inv_mod(int(m[piv, k]), p) % p
         rest = nz[1:]
         if rest.size:
-            m[rest] = (m[rest] - np.outer(m[rest, k], m[piv])) % p
+            if rest[-1] - rest[0] == rest.size - 1:
+                rest = slice(rest[0], rest[-1] + 1)
+            m[rest, k:end] = (m[rest, k:end] - np.outer(m[rest, k], prow)) % p
     return out
 
 

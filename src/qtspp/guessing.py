@@ -165,18 +165,31 @@ class ModularRecurrence:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymbolicRecurrence:
-    """Recurrence with integer-polynomial coefficients in q, content 1."""
+    """Recurrence with integer-polynomial coefficients in q, content 1; frozen,
+    with tuple coefficients, so the residue matrix kept per prime cannot go stale."""
 
     support: AnsatzSupport
     pivot_term: Term
-    coefficients: list[IntegerPoly]
+    coefficients: tuple[IntegerPoly, ...]
     prime: int
     q_points_used: list[int] = field(default_factory=list)
+    _by_prime: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
         _check_recurrence(self, "coefficient polynomial", IntegerPoly.is_zero)
+
+    def _residues(self, p: int) -> np.ndarray:
+        """[d, k] = coefficient of q**d in polynomial k, mod p; built once per p."""
+        if p not in self._by_prime:
+            m = np.zeros((max(c.degree for c in self.coefficients) + 1, len(self.coefficients)),
+                         dtype=np.int64)
+            for k, c in enumerate(self.coefficients):
+                m[: len(c.coeffs), k] = [v % p for v in c.coeffs]
+            self._by_prime[p] = m
+        return self._by_prime[p]
 
     def max_abs_coefficient(self) -> int:
         return max(c.max_abs_coefficient() for c in self.coefficients)
@@ -185,10 +198,10 @@ class SymbolicRecurrence:
         return math.gcd(*(c.content() for c in self.coefficients))
 
     def specialize(self, q_int: int, prime: int | None = None) -> np.ndarray:
-        """Residues of every coefficient polynomial at q_int mod the prime."""
+        """Residues of every coefficient polynomial at q_int mod the prime,
+        by one Horner pass over the residue matrix."""
         p = prime if prime is not None else self.prime
-        x = q_int % p
-        return np.array([c.eval_mod(x, p) for c in self.coefficients], dtype=np.int64)
+        return _poly_eval(self._residues(p), q_int % p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +571,7 @@ def reconstruct_symbolic(recs: Sequence[ModularRecurrence]) -> SymbolicRecurrenc
         prime=p,
         q_points_used=q_points,
     )
-    values = np.array([_poly_eval([c % p for c in poly.coeffs], at, p) for poly in coeffs])
+    values = _poly_eval(sym._residues(p)[:, :, None], at, p)  # [term, sample]
     expected = values[support.terms.index(pivot)] * samples_by_term % p
     bad = np.flatnonzero((values != expected).any(axis=0))
     if bad.size:

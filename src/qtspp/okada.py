@@ -13,11 +13,13 @@ table).  Gaussian binomials are computed through the q-Pascal recurrence,
 which evaluates the underlying polynomial and is therefore well defined for
 every q point, even one of small multiplicative order (2 has order 31
 modulo 2**31 - 1).  Both product formulas are built from one telescoped
-layer, _layer(n) = prod over i <= n of (1 - q**(2n+i-1)) / (1 - q**(n+2i-2)):
-the layer ratio is its square and the orbit product the product of layers
-1..n.  They genuinely divide by the factors 1 - q**(n+2i-2) and raise
-DegenerateDenominator on q points whose order divides one of those
-exponents; callers pick q points of large order for those checks.
+layer, prod over i <= n of (1 - q**(2n+i-1)) / (1 - q**(n+2i-2)), which
+_layers computes for a whole range of n at once, as products of numpy
+residue arrays: the layer ratio is its square and the orbit product the
+product of layers 1..n.  They genuinely divide by the factors
+1 - q**(n+2i-2) and raise DegenerateDenominator on q points whose order
+divides one of those exponents; callers pick q points of large order for
+those checks.
 """
 
 from __future__ import annotations
@@ -174,31 +176,39 @@ def okada_slice(n: int, qpt: QPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _layer_factors(L: int, qpt: QPoint):
-    """factors[m] = 1 - q**m, or m at q = 1, for m < 3L: every factor of layers 1..L."""
-    return range(3 * L) if qpt.is_unit else [1 - x for x in qpt.qpow(3 * L - 1).tolist()]
+def _prod_mod(f: np.ndarray, p: int) -> np.ndarray:
+    """Products mod p along the last axis of f (1 over no factors), by halving."""
+    while f.shape[-1] != 1:
+        if f.shape[-1] % 2 or not f.shape[-1]:
+            f = np.concatenate([f, np.ones(f.shape[:-1] + (1,), dtype=np.int64)], axis=-1)
+        else:
+            f = f[..., ::2] * f[..., 1::2] % p
+    return f[..., 0]
 
 
-def _layer(n: int, qpt: QPoint, factors=None) -> int:
-    """The k = n layer of the orbit product, telescoped over j.
+def _layers(ns: range, qpt: QPoint) -> np.ndarray:
+    """The layers n in ns of the orbit product, telescoped over j, as residues.
 
-    prod over i <= n of (1 - q**(2n+i-1)) / (1 - q**(n+2i-2)), read from
-    factors (_layer_factors of any L >= n; built for n alone when omitted).
-    A vanishing denominator factor raises DegenerateDenominator.
+    Layer n is prod over i <= n of (1 - q**(2n+i-1)) / (1 - q**(n+2i-2)),
+    with the factor m in place of 1 - q**m at q = 1.  Numerators and
+    denominators are products along the rows of one [num/den, n, i] grid
+    of factors, padded with 1 for i > n.  The first n in ns whose
+    denominator has a vanishing factor raises DegenerateDenominator, naming
+    its first.
     """
     p = qpt.modulus.p
-    if factors is None:
-        factors = _layer_factors(n, qpt)
-    num = den = 1
-    for i in range(1, n + 1):
-        d = factors[n + 2 * i - 2] % p
-        if d == 0:
-            raise DegenerateDenominator(
-                f"1 - q**{n + 2 * i - 2} = 0 mod p at q={qpt.q_int} (order {qpt.order})"
-            )
-        num = num * factors[2 * n + i - 1] % p
-        den = den * d % p
-    return num * _inv_mod(den, p) % p
+    top = 3 * ns[-1] if ns else 0  # every exponent is below 3n
+    factors = np.arange(top) % p if qpt.is_unit else (1 - qpt.qpow(top - 1)) % p
+    n = np.array(ns, dtype=np.int64)[:, None]
+    i = np.arange(top // 3)  # i - 1
+    grid = np.where(i < n, factors[np.array([2 * n + i, n + 2 * i])], 1)
+    if not grid[1].all():
+        r, c = np.argwhere(grid[1] == 0)[0]
+        raise DegenerateDenominator(
+            f"1 - q**{ns[r] + 2 * c} = 0 mod p at q={qpt.q_int} (order {qpt.order})"
+        )
+    num, den = _prod_mod(grid, p).tolist()
+    return np.array([x * pow(d, -1, p) % p for x, d in zip(num, den)], dtype=np.int64)
 
 
 def qtspp_orbit_product(n: int, qpt: QPoint) -> int:
@@ -210,10 +220,7 @@ def qtspp_orbit_product(n: int, qpt: QPoint) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    acc = 1
-    for k in range(1, n + 1):
-        acc = acc * _layer(k, qpt) % qpt.modulus.p
-    return acc
+    return int(_prod_mod(_layers(range(1, n + 1), qpt), qpt.modulus.p))
 
 
 def qtspp_count_exact(n: int) -> int:
@@ -229,19 +236,19 @@ def qtspp_count_exact(n: int) -> int:
     return acc.numerator
 
 
-def nice_ratio(n: int, qpt: QPoint, factors=None) -> int:
+def nice_ratio(n: int, qpt: QPoint) -> int:
     """Squared outer-layer ratio: the k = n slice of the conjectured product.
 
     Equals prod over 1 <= i <= j <= n of
     ((1 - q**(i+j+n-1)) / (1 - q**(i+j+n-2)))**2, evaluated as the square of
     the telescoped layer, so the product of nice_ratio(1..n) is
     qtspp_orbit_product(n)**2.  It raises DegenerateDenominator exactly when
-    q's order divides some n + 2i - 2 with i <= n.  A caller that checks
-    many layers passes the factors once (_layer_factors of any L >= n).
+    q's order divides some n + 2i - 2 with i <= n.  check_okada squares
+    the layers 1..L from the same _layers call.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _layer(n, qpt, factors) ** 2 % qpt.modulus.p
+    return int(_layers(range(n, n + 1), qpt)[0]) ** 2 % qpt.modulus.p
 
 
 def nice_ratio_q1_exact(n: int) -> Fraction:

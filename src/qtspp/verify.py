@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import okada
 from .cofactors import CofactorTable, build_table, certificate_product
 from .fieldcore import (
     IntegerPoly,
@@ -40,9 +41,7 @@ from .guessing import (
 )
 from .okada import (
     QPoint,
-    _layer_factors,
     has_admissible_order,
-    nice_ratio,
     nice_ratio_q1_exact,
     okada_entry_q1,
 )
@@ -166,19 +165,21 @@ def check_soichi(tables, L: int | None = None) -> VerificationReport:
 
 
 def check_okada(tables, L: int | None = None) -> VerificationReport:
-    """Telescoped ratio: the certificate row sum, diag R, equals the layer product."""
+    """Telescoped ratio: the certificate row sum, diag R, equals the squared layer.
+
+    The layers 1..L come from one okada._layers call per table, looked up
+    when the check runs, as nice_ratio's single layer does.
+    """
     tables = _as_tables(tables)
     if L is None:
         L = min(t.n_max for t in tables)
     report = VerificationReport("okada", L, [t.q_int for t in tables])
     for table in tables:
-        qpt = table.qpoint()
-        factors = _layer_factors(L, qpt)
-        for n, lhs in enumerate(np.diagonal(certificate_product(table, L)).tolist(), start=1):
-            rhs = nice_ratio(n, qpt, factors)
-            report.checks += 1
-            if lhs != rhs:
-                report.record_failure(q=table.q_int, n=n, lhs=lhs, rhs=rhs)
+        lhs = np.diagonal(certificate_product(table, L))
+        rhs = okada._layers(range(1, L + 1), table.qpoint()) ** 2 % table.modulus.p
+        report.checks += L
+        for n in np.flatnonzero(lhs != rhs).tolist():
+            report.record_failure(q=table.q_int, n=n + 1, lhs=int(lhs[n]), rhs=int(rhs[n]))
     return report
 
 
@@ -310,8 +311,10 @@ def ct_check_q1(
             # the kernel series is integral, so the coefficient is an integer
             return value % p
 
+        ratios = okada._layers(range(1, n_max_ct + 1), qpt) ** 2 % p  # nice_ratio(1..n_max_ct)
+
         def expected_ratio(n):
-            return nice_ratio(n, qpt)
+            return int(ratios[n - 1])
 
     report = VerificationReport("ct-q1", n_max_ct, [1], details={"mode": mode})
     for n in range(1, n_max_ct + 1):
@@ -401,20 +404,11 @@ def check_leading_factor_vanishing(
     """
     p = symrec.prime
     gmax = symrec.support.max_shift_j
-    tops = []
-    for term, poly in zip(symrec.support.terms, symrec.coefficients):
-        if term[2] == gmax:
-            tops.append((term[0], term[1], poly))
-    if not tops:
-        raise ValueError("no terms carry the top shift")
+    tops = [(k, a, b) for k, (a, b, g) in enumerate(symrec.support.terms) if g == gmax]
 
     def assemble(q: int, x: int, y: int) -> int:
-        acc = 0
-        for alpha, beta, poly in tops:
-            acc = (
-                acc + poly.eval_mod(q, p) * pow(x, alpha, p) % p * pow(y, beta, p)
-            ) % p
-        return acc
+        c = symrec.specialize(q).tolist()
+        return sum(c[k] * pow(x, a, p) % p * pow(y, b, p) % p for k, a, b in tops) % p
 
     # (x, y) on each factor's zero set from w = q**(gamma - offset) and one free draw r
     on_factor = (

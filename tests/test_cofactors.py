@@ -3,21 +3,31 @@ import random
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from qtspp import cofactors
+from qtspp import cofactors, fieldcore, okada
 from qtspp.cofactors import (
     PrecisionExhausted,
     build_table,
+    certificate_product,
     cofactor_by_minors,
     det_certified,
     det_direct,
     load_table,
 )
-from qtspp.fieldcore import InvalidInput, PrimeModulus, SingularMatrix, WorkbenchError
+from qtspp.fieldcore import InvalidInput, PrimeModulus, SingularMatrix, WorkbenchError, _mul_mod
 from qtspp.guessing import AnsatzSupport, sweep
-from qtspp.okada import QPoint, nice_ratio, okada_entry, qbinom, qtspp_orbit_product
-from qtspp.verify import check_soichi
+from qtspp.okada import (
+    QPoint,
+    has_admissible_order,
+    nice_ratio,
+    okada_entry,
+    okada_slice,
+    qbinom,
+    qtspp_orbit_product,
+)
+from qtspp.verify import check_normalization, check_okada, check_soichi
 
 P = PrimeModulus()
 RNG = random.Random(31337)
@@ -211,6 +221,53 @@ class TestTableGates:
         with pytest.raises(SingularMatrix) as info:
             build_table(8, qp(3))
         assert info.value.n == 5
+
+
+class TestOneProductPerTable:
+    """build_table computes R = A B^T once; the checks and det_certified read its blocks."""
+
+    def test_one_entry_matrix_and_one_product(self, monkeypatch):
+        assert has_admissible_order(12345, P, 40)
+        det = det_direct(40, qp(12345))
+        calls = {"entry_matrix": 0, "_mul_mod": 0}
+        for module, name in ((okada, "entry_matrix"), (cofactors, "entry_matrix"),
+                             (fieldcore, "_mul_mod"), (cofactors, "_mul_mod")):
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        table = build_table(40, qp(12345))
+        for report in (check_normalization(table), check_soichi(table, 40), check_okada(table, 40)):
+            assert report.passed, report.summary_line()
+        assert det_certified(40, table) == det and det_certified(9, table)
+        assert calls == {"entry_matrix": 1, "_mul_mod": 1}
+
+    def test_stored_product_is_read_only(self):
+        table = build_table(20, qp(3))
+        for r in (table._r, certificate_product(table, 12)):
+            assert not r.flags.writeable
+            with pytest.raises(ValueError):
+                r[0, 0] = 1
+
+    @pytest.mark.parametrize("L", [1, 7, 39])
+    def test_leading_block_is_a_fresh_product(self, L):
+        table = build_table(40, qp(12345))
+        b = table.padded()[1 : L + 1, 1 : L + 1]
+        fresh = _mul_mod(okada_slice(L, table.qpoint()), b.T, P.p)
+        assert np.array_equal(certificate_product(table, L), fresh)
+
+    def test_copies_compute_their_own_product(self, tmp_path):
+        table = build_table(30, qp(12345))
+        assert check_soichi(table, 30).passed
+        bad = table.with_value(17, 4, table.value(17, 4) + 1)
+        assert {f["n"] for f in check_soichi(bad, 30).failures} == {17}
+        assert check_soichi(table, 30).passed
+        loaded = load_table(table.save_text(tmp_path / "t.txt"))
+        for copy, n in ((table.truncated(20), 20), (loaded, 30)):
+            assert copy._r is None
+            assert np.array_equal(certificate_product(copy, n), certificate_product(table, n))
+            assert copy._r.shape == (n, n)
 
 
 class TestDeterminantOracles:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qtspp import fieldcore, guessing
+from qtspp.okada import QPoint, okada_slice
 from qtspp.fieldcore import (
     DEFAULT_PRIME,
     MAX_MODULUS,
@@ -150,6 +151,67 @@ class TestLeadingKernels:
         rows = leading_kernels_mod(a, P.p)
         assert sorted(rows) == [1, 3]
         assert rows[3].tolist() == [P.p - 3, P.p - 2, 1]
+
+
+def leading_kernels_unnarrowed(a: np.ndarray, p: int, seen: set | None = None) -> dict:
+    """leading_kernels_mod with whole-row updates through an index array: its oracle.
+
+    Adds "offset pivot" to seen when a pivot is not row k, and "rows apart"
+    when the rows to update do not form one run.
+    """
+    seen = set() if seen is None else seen
+    rows, cols = a.shape
+    m = np.concatenate([a.T % p, np.eye(cols, dtype=np.int64)], axis=1)
+    unused = np.ones(cols, dtype=bool)
+    out = {}
+    last = min(cols - 1, rows)
+    for k in range(last + 1):
+        if not unused[:k].any():
+            out[k + 1] = m[k, rows : rows + k + 1].copy()
+        if k == last:
+            break
+        nz = np.nonzero(unused & (m[:, k] != 0))[0]
+        if nz.size == 0:
+            break
+        piv = nz[0]
+        unused[piv] = False
+        m[piv] = m[piv] * pow(int(m[piv, k]), -1, p) % p
+        rest = nz[1:]
+        if piv != k:
+            seen.add("offset pivot")
+        if rest.size and rest[-1] - rest[0] != rest.size - 1:
+            seen.add("rows apart")
+        if rest.size:
+            m[rest] = (m[rest] - np.outer(m[rest, k], m[piv])) % p
+    return out
+
+
+class TestLeadingKernelsNarrowed:
+    """The narrowed updates of leading_kernels_mod against the whole-row elimination."""
+
+    @staticmethod
+    def assert_same(a, p, seen=None):
+        got, want = leading_kernels_mod(a, p), leading_kernels_unnarrowed(a, p, seen)
+        assert list(got) == list(want)
+        for n in want:
+            assert got[n].tolist() == want[n].tolist(), n
+
+    def test_forced_zero_minors(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for trial in range(60):
+            p = (P.p, 101, 7)[trial % 3]
+            rows, cols = (int(x) for x in rng.integers(2, 40, size=2))
+            a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.7)
+            a[rng.integers(0, rows), : rng.integers(1, cols + 1)] = 0  # a vanishing leading minor
+            if rows > 2:
+                a[2] = (a[0] + a[1]) % p  # a dependent row: no minor past 3 is a unit
+            self.assert_same(a, p, seen)
+        assert seen == {"offset pivot", "rows apart"}
+
+    @pytest.mark.parametrize("q, n", [(2, 120), (2**7, 60), (3, 120)])
+    def test_entry_matrix_at_small_order(self, q, n):
+        self.assert_same(okada_slice(n, QPoint(q, P)), P.p)
 
 
 def nonsingular_systems(rng, p, sizes, draw):

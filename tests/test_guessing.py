@@ -509,7 +509,7 @@ class TestReconstructSymbolic:
         for funcs, want in cases:
             recs = synthetic_recs(sup, (0, 0, 0), funcs, q_points)
             sym = reconstruct_symbolic(recs)
-            assert sym.coefficients == [IntegerPoly(c) for c in want]
+            assert sym.coefficients == tuple(IntegerPoly(c) for c in want)
             assert sym.q_points_used == q_points
 
     def test_constant_coefficients(self):
@@ -527,7 +527,7 @@ class TestReconstructSymbolic:
         den = [1] + [0] * 69 + [1]
         recs = synthetic_recs(sup, (0, 0, 0), [([1], [1]), ([1], den)], range(2, 151))
         sym = reconstruct_symbolic(recs)
-        assert sym.coefficients == [IntegerPoly(den), IntegerPoly([1])]
+        assert sym.coefficients == (IntegerPoly(den), IntegerPoly([1]))
 
     def test_too_few_points(self):
         # a linear coefficient from two samples leaves no surplus sample
@@ -608,6 +608,45 @@ class TestReconstructSymbolic:
             assert factor != 0
             want = rec.coefficients * factor % P.p
             assert np.array_equal(vals, want)
+
+
+class TestSpecialize:
+    """One Horner pass over the residue matrix against eval_mod, polynomial by polynomial."""
+
+    SUPPORT = AnsatzSupport(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    POLYS = (
+        IntegerPoly([3]),
+        IntegerPoly([2**70 + 5, -1, 0, 7]),
+        IntegerPoly([-(2**65) - 3, 0, -11]),
+        IntegerPoly([0, 0, 0, 0, -(2**64) - 1]),
+    )
+
+    @pytest.mark.parametrize("p", [P.p, 3037000493])
+    @pytest.mark.parametrize("q", [0, 1, 2, 12345, -7, 3037000493, 2147483647, 2**40 + 3])
+    def test_matches_eval_mod(self, p, q):
+        rec = SymbolicRecurrence(self.SUPPORT, (0, 0, 0), list(self.POLYS), p)
+        want = [c.eval_mod(q % p, p) for c in self.POLYS]
+        assert rec.specialize(q).tolist() == want
+        assert rec.specialize(q, p).dtype == np.int64
+        # the residue matrix is kept per prime: another prime gets its own
+        other = P.p + 3037000493 - p
+        assert rec.specialize(q, other).tolist() == [
+            c.eval_mod(q % other, other) for c in self.POLYS
+        ]
+        assert rec.specialize(q).tolist() == want
+
+    def test_fixture_matches_eval_mod(self, symbolic_rec):
+        for q in (0, 2, 151, 98765):
+            want = [c.eval_mod(q % P.p, P.p) for c in symbolic_rec.coefficients]
+            assert symbolic_rec.specialize(q).tolist() == want
+
+    def test_frozen_with_tuple_coefficients(self):
+        rec = SymbolicRecurrence(self.SUPPORT, (0, 0, 0), list(self.POLYS), P.p)
+        assert rec.coefficients == self.POLYS
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.coefficients = self.POLYS[:1]
+        changed = dataclasses.replace(rec, coefficients=(IntegerPoly([4]), *self.POLYS[1:]))
+        assert rec.specialize(5)[0] == 3 and changed.specialize(5)[0] == 4
 
 
 def same_but_prime(a: SymbolicRecurrence, b: SymbolicRecurrence) -> bool:

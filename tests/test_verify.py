@@ -219,9 +219,9 @@ class TestCertificateProduct:
     def test_wrong_layer_fails_okada_at_that_n(self, monkeypatch, k):
         assert has_admissible_order(12345, P, 30)
         table = build_table(30, qp(12345))
-        layer = okada._layer
+        layers = okada._layers
         monkeypatch.setattr(
-            okada, "_layer", lambda n, qpt, factors=None: (layer(n, qpt, factors) + (n == k)) % P.p
+            okada, "_layers", lambda ns, qpt: (layers(ns, qpt) + np.equal(ns, k)) % P.p
         )
         assert [f["n"] for f in check_okada(table, 30).failures] == [k]
 
