@@ -384,10 +384,6 @@ class IntegerPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
     def max_abs_coefficient(self) -> int:
         return max((abs(c) for c in self.coeffs), default=0)
 

@@ -154,15 +154,20 @@ class ModularRecurrence:
     def zero_count(self) -> int:
         return int(np.count_nonzero(self.coefficients == 0))
 
-    def zero_terms(self) -> tuple[Term, ...]:
-        return tuple(
-            t for t, c in zip(self.support.terms, self.coefficients) if c == 0
-        )
-
     def nonzero_terms(self) -> tuple[Term, ...]:
         return tuple(
             t for t, c in zip(self.support.terms, self.coefficients) if c != 0
         )
+
+    def specialize(self, q_int: int, prime: int | None = None) -> np.ndarray:
+        """The coefficients; InvalidInput at another prime or another q point."""
+        if prime is not None and prime != self.prime:
+            raise InvalidInput("recurrence and table prime differ")
+        if q_int != self.q_int:
+            raise InvalidInput(
+                f"modular recurrence is bound to q={self.q_int}, table has q={q_int}"
+            )
+        return self.coefficients
 
 
 @dataclass(frozen=True)
@@ -193,9 +198,6 @@ class SymbolicRecurrence:
 
     def max_abs_coefficient(self) -> int:
         return max(c.max_abs_coefficient() for c in self.coefficients)
-
-    def joint_content(self) -> int:
-        return math.gcd(*(c.content() for c in self.coefficients))
 
     def specialize(self, q_int: int, prime: int | None = None) -> np.ndarray:
         """Residues of every coefficient polynomial at q_int mod the prime,
@@ -279,19 +281,18 @@ def refine_support(rec: ModularRecurrence) -> AnsatzSupport:
 # ---------------------------------------------------------------------------
 
 
-def _specialized_coefficients(
-    rec: ModularRecurrence | SymbolicRecurrence, table: CofactorTable
-) -> np.ndarray:
-    p = table.modulus.p
-    if isinstance(rec, ModularRecurrence):
-        if rec.prime != p:
-            raise InvalidInput("recurrence and table prime differ")
-        if rec.q_int != table.q_int:
-            raise InvalidInput(
-                f"modular recurrence is bound to q={rec.q_int}, table has q={table.q_int}"
-            )
-        return rec.coefficients
-    return rec.specialize(table.q_int, p)
+def _shift_polys(rec: ModularRecurrence | SymbolicRecurrence, q_int: int, p: int) -> np.ndarray:
+    """[gamma, beta, alpha] = c[alpha, beta, gamma] at q_int mod p: P_gamma as [beta, alpha]."""
+    alpha, beta, gamma = map(np.array, zip(*rec.support.terms))
+    poly = np.zeros((gamma.max() + 1, beta.max() + 1, alpha.max() + 1), dtype=np.int64)
+    poly[gamma, beta, alpha] = rec.specialize(q_int, p)
+    return poly
+
+
+def _eval_shift(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray, p: int) -> np.ndarray:
+    """P(x, y) at [x, y] for P given as [beta, alpha]: Horner steps in Y, then in X."""
+    in_y = _poly_eval(poly[:, :, None], ys, p)  # [alpha, y]
+    return _poly_eval(in_y, xs[:, None], p)
 
 
 def annihilation_residuals(
@@ -300,28 +301,26 @@ def annihilation_residuals(
     """Residual grid R[n, j] over the whole triangle, one Horner evaluation per shift.
 
     R[n, j] for 1 <= j <= n <= n_max; entries outside the triangle are zero.
-    A symbolic recurrence is specialized at the table's q point first.
+    The recurrence is specialized at the table's q point first (a modular
+    one refuses another q point or prime).
 
     With X = q**n and Y = q**j, q**(alpha*n + beta*j) = X**alpha * Y**beta,
     so R[n, j] = sum over gamma of B(n, j + gamma) * P_gamma(X, Y), where
     P_gamma is the sum of c[alpha, beta, gamma] * X**alpha * Y**beta over
     the terms of shift gamma.  Each P_gamma is evaluated on the n_max x n_max
-    grid by Horner steps in Y on the vector of q**j, then in X (_poly_eval);
+    grid by Horner steps in Y on the vector of q**j, then in X (_eval_shift);
     above the diagonal every B(n, j + gamma) reads 0, and so does R.  Every
     product is reduced mod p before it is summed.  _mul_mod is never called:
     it is the product kernel of the elimination whose output this check
     certifies, so a fault there cannot hide from it.
     """
     p, n_max = table.modulus.p, table.n_max
-    alpha, beta, gamma = np.array(rec.support.terms).T
-    poly = np.zeros((gamma.max() + 1, beta.max() + 1, alpha.max() + 1), dtype=np.int64)
-    poly[gamma, beta, alpha] = _specialized_coefficients(rec, table)
+    poly = _shift_polys(rec, table.q_int, p)
     powers = table.qpoint().qpow(n_max)[1:]  # q**k for k = 1..n_max
     b = table.padded(extra_cols=rec.support.max_shift_j)
     grid = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
     for g in range(len(poly)):
-        in_y = _poly_eval(poly[g, :, :, None], powers, p)  # [alpha, j]
-        at = _poly_eval(in_y, powers[:, None], p)  # P_g(q**n, q**j) at [n, j]
+        at = _eval_shift(poly[g], powers, powers, p)  # P_g(q**n, q**j) at [n, j]
         grid[1:, 1:] += b[1:, 1 + g : 1 + g + n_max] * at % p
         grid %= p
     return grid

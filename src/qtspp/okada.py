@@ -223,19 +223,6 @@ def qtspp_orbit_product(n: int, qpt: QPoint) -> int:
     return int(_prod_mod(_layers(range(1, n + 1), qpt), qpt.modulus.p))
 
 
-def qtspp_count_exact(n: int) -> int:
-    """Exact integer TSPP count for the n-cube (q = 1 product formula)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    acc = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                acc *= Fraction(i + j + k - 1, i + j + k - 2)
-    assert acc.denominator == 1
-    return acc.numerator
-
-
 def nice_ratio(n: int, qpt: QPoint) -> int:
     """Squared outer-layer ratio: the k = n slice of the conjectured product.
 

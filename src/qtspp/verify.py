@@ -37,6 +37,8 @@ from .guessing import (
     ModularRecurrence,
     SymbolicRecurrence,
     _canonical_json,
+    _eval_shift,
+    _shift_polys,
     annihilation_residuals,
 )
 from .okada import (
@@ -389,13 +391,14 @@ def check_leading_factor_vanishing(
 ) -> VerificationReport:
     """The top-shift coefficient vanishes on each of its six known factors.
 
-    Assemble P(q, X, Y) = sum over top-shift terms of c[alpha,beta](q) *
-    X**alpha * Y**beta, where X and Y stand for q**n and q**j and gamma is
-    the top shift.  The factors (Y q^(gamma-4) - 1), (Y q^gamma + 1),
-    (X - Y q^(gamma-1)), (X - Y q^gamma), (X Y q^(gamma-1) - 1) and
-    (X Y q^gamma - 1) are each zeroed by construction at random points
-    mod p, and P must vanish at every one; a random unconstrained point is
-    also evaluated as a negative control.  X = Y q^gamma is n = j + gamma,
+    P(q, X, Y) = sum over top-shift terms of c[alpha,beta](q) * X**alpha *
+    Y**beta, where X and Y stand for q**n and q**j and gamma is the top
+    shift, is evaluated as the residual check evaluates it (_eval_shift).
+    The factors (Y q^(gamma-4) - 1), (Y q^gamma + 1), (X - Y q^(gamma-1)),
+    (X - Y q^gamma), (X Y q^(gamma-1) - 1) and (X Y q^gamma - 1) are each
+    zeroed by construction at random points mod p, and P must vanish at
+    every one; a random unconstrained point is also evaluated as a negative
+    control.  X = Y q^gamma is n = j + gamma,
     where the top term is the diagonal value B(n, n); X = Y q^(gamma-1) is
     n = j + gamma - 1, where the top term reads the zero extension
     B(n, n + 1).  The other four were found by a factor search over
@@ -404,11 +407,10 @@ def check_leading_factor_vanishing(
     """
     p = symrec.prime
     gmax = symrec.support.max_shift_j
-    tops = [(k, a, b) for k, (a, b, g) in enumerate(symrec.support.terms) if g == gmax]
 
     def assemble(q: int, x: int, y: int) -> int:
-        c = symrec.specialize(q).tolist()
-        return sum(c[k] * pow(x, a, p) % p * pow(y, b, p) % p for k, a, b in tops) % p
+        top = _shift_polys(symrec, q, p)[gmax]
+        return int(_eval_shift(top, np.array([x]), np.array([y]), p)[0, 0])
 
     # (x, y) on each factor's zero set from w = q**(gamma - offset) and one free draw r
     on_factor = (

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import logging
+import math
 import os
 import random
 from pathlib import Path
@@ -190,10 +191,7 @@ class TestApplyRecurrence:
     def scalar_residuals(rec, table):
         """R[n, j] term by term through table.value: the vectorized grid's oracle."""
         q, p = table.q_int, table.modulus.p
-        if isinstance(rec, ModularRecurrence):
-            coeffs = rec.coefficients
-        else:
-            coeffs = rec.specialize(q, p)
+        coeffs = rec.specialize(q, p)
         grid = np.zeros((table.n_max + 1, table.n_max + 1), dtype=np.int64)
         for n in range(1, table.n_max + 1):
             for j in range(1, n + 1):
@@ -298,6 +296,37 @@ class TestApplyRecurrence:
         other = build_table(35, qp(3))
         with pytest.raises(ValueError):
             annihilation_residuals(modular_rec, other)
+
+
+def pow_sum(rec, gamma, q, x, y, p):
+    """P_gamma(x, y) term by term with pow: the shift evaluator's oracle."""
+    c = rec.specialize(q, p).tolist()
+    return sum(
+        c[k] * pow(x, a, p) % p * pow(y, b, p) % p
+        for k, (a, b, g) in enumerate(rec.support.terms)
+        if g == gamma
+    ) % p
+
+
+class TestShiftEvaluator:
+    """_shift_polys and _eval_shift: one path behind the residuals and the leading-factor check."""
+
+    @pytest.mark.parametrize("p", [P.p, 3037000493])
+    @pytest.mark.parametrize("gamma", [0, 10])
+    def test_matches_the_pow_sum(self, p, gamma):
+        # residues within 1000 of p: a Horner step reaches (p - 1) * p < 2**63
+        rec = load_recurrence(FIXTURE)
+        assert rec.support.max_shift_j == 10
+        rng = np.random.default_rng(gamma)
+        xs, ys = p - rng.integers(1, 1000, size=(2, 8))
+        for q in (2, 151, p - 3):
+            poly = guessing._shift_polys(rec, q, p)[gamma]
+            want = [[pow_sum(rec, gamma, q, x, y, p) for y in ys.tolist()] for x in xs.tolist()]
+            assert guessing._eval_shift(poly, xs, ys, p).tolist() == want
+            for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+                got = guessing._eval_shift(poly, np.array([x]), np.array([y]), p)
+                assert got.shape == (1, 1) and int(got[0, 0]) == want[i][i]
+            assert any(v for row in want for v in row)
 
 
 class TestSweep:
@@ -593,7 +622,7 @@ class TestReconstructSymbolic:
             cli.cmd_reconstruct(cli.PipelineConfig(out_dir=tmp_path))
 
     def test_real_fingerprint(self, symbolic_rec):
-        assert symbolic_rec.joint_content() == 1
+        assert math.gcd(*(c for poly in symbolic_rec.coefficients for c in poly.coeffs)) == 1
         assert symbolic_rec.max_abs_coefficient() <= 43
 
     def test_bytes_match_the_benchmark_fixture(self, symbolic_rec):
@@ -634,6 +663,14 @@ class TestSpecialize:
             c.eval_mod(q % other, other) for c in self.POLYS
         ]
         assert rec.specialize(q).tolist() == want
+
+    def test_modular_is_bound_to_its_point(self, modular_rec):
+        assert modular_rec.specialize(2) is modular_rec.coefficients
+        assert modular_rec.specialize(2, P.p) is modular_rec.coefficients
+        with pytest.raises(InvalidInput, match="^recurrence and table prime differ$"):
+            modular_rec.specialize(3, 3037000493)
+        with pytest.raises(InvalidInput, match="^modular recurrence is bound to q=2, table has q=3"):
+            modular_rec.specialize(3, P.p)
 
     def test_fixture_matches_eval_mod(self, symbolic_rec):
         for q in (0, 2, 151, 98765):

@@ -19,7 +19,6 @@ from qtspp.okada import (
     okada_entry_q1,
     okada_slice,
     qbinom,
-    qtspp_count_exact,
     qtspp_orbit_product,
 )
 
@@ -164,7 +163,7 @@ class TestOrbitProduct:
         assert qtspp_orbit_product(3, qp(1)) == 16
 
     def test_exact_counts(self):
-        assert [qtspp_count_exact(n) for n in range(6)] == [1, 2, 5, 16, 66, 352]
+        assert [qtspp_orbit_product(n, qp(1)) for n in range(6)] == [1, 2, 5, 16, 66, 352]
 
     def test_matches_triple_product(self):
         # direct factor-by-factor oracle against the aggregated evaluation

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,8 @@ from qtspp.verify import (
 )
 
 P = PrimeModulus()
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "perfbench" / "fixtures" / "recurrence-symbolic.json"
 
 
 def qp(q):
@@ -309,6 +313,20 @@ class TestLeadingFactor:
         )
         rep = check_leading_factor_vanishing(fake, trials=30)
         assert not rep.passed
+
+    def test_top_shift_constant_term_off_by_one_fails_every_draw(self):
+        rec = load_recurrence(FIXTURE)
+        assert check_leading_factor_vanishing(rec).passed
+        gmax = rec.support.max_shift_j
+        k, (a, b, _) = next((k, t) for k, t in enumerate(rec.support.terms) if t[2] == gmax)
+        c = rec.coefficients[k].coeffs
+        coeffs = list(rec.coefficients)
+        coeffs[k] = IntegerPoly([c[0] + 1, *c[1:]])
+        rep = check_leading_factor_vanishing(dataclasses.replace(rec, coefficients=coeffs))
+        # P vanishes at every draw, so the bad P reads the added x**a * y**b there
+        assert rep.checks == 200 and len(rep.failures) == 200
+        for f in rep.failures:
+            assert f["value"] == pow(f["x"], a, P.p) * pow(f["y"], b, P.p) % P.p != 0
 
     # moves of one factor's exponent that do not land on another of the six
     @pytest.mark.parametrize(
