@@ -87,6 +87,9 @@ class PipelineConfig:
             raise InvalidInput("sweep range is empty")
         if self.workers < 1:
             raise InvalidInput("worker count must be >= 1")
+        for name in ("n_ext", "L", "L_q1"):  # table bounds, refused before any stage runs
+            if getattr(self, name) < 1:
+                raise InvalidInput(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def modulus(self) -> PrimeModulus:
         return PrimeModulus(self.prime)

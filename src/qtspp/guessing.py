@@ -121,9 +121,6 @@ class AnsatzSupport:
     def __len__(self):
         return len(self.terms)
 
-    def __iter__(self):
-        return iter(self.terms)
-
 
 def _check_recurrence(rec, noun: str, is_zero) -> None:
     """One coefficient per support term, and a nonzero one on the pivot term."""

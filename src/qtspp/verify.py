@@ -9,8 +9,10 @@ of totally symmetric plane partitions (order ideals of the orbit poset).
 
 The q = 1 route re-derives the orthogonality and ratio identities as
 constant-term identities for the row generating polynomials and checks them
-with truncated power series over the rationals: on exact rational rows, or
-on a table's integer residues with the extracted coefficient reduced mod p.
+over the rationals: on exact rational rows, or on a table's integer residues
+with the extracted coefficient reduced mod p.  The extracted coefficient is
+the q = 1 certificate sum over m of a(i, m) * B(n, m), with a(i, m) read off
+a kernel series of its own, so no elimination product is involved.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -57,10 +60,6 @@ CT_BOUND = 30
 
 class SizeLimit(WorkbenchError):
     """Brute-force enumeration was asked for a size beyond its budget."""
-
-
-class SeriesTruncationTooShort(WorkbenchError):
-    """A constant-term extraction needs more series coefficients."""
 
 
 @dataclass
@@ -222,28 +221,20 @@ def check_extended(
 # ---------------------------------------------------------------------------
 
 
-def _series_mul_coeff(a, b, n: int):
-    """Coefficient of x**n in a*b, where a is truncated and b is complete."""
-    if n >= len(a):
-        raise SeriesTruncationTooShort(f"series order {len(a)} cannot reach x**{n}")
-    return sum(a[k] * b[n - k] for k in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1))
-
-
 def _ct_kernel_series(i: int, order: int) -> list[int]:
     """Truncated series of x(2-x)/(1-x)**(i+1) + 2x**i - x**(i-1).
 
     1/(1-x)**(i+1) has the coefficients C(m+i, i), so the coefficient of
     x**m is 2 C(m-1+i, i) - C(m-2+i, i), plus the two monomial corrections;
-    every coefficient is an integer.
+    every coefficient is an integer.  By Pascal's rule the coefficient of
+    x**m, m >= 1, is the q = 1 matrix entry a(i, m) (okada_entry_q1), here
+    from a closed form of its own; x**0 carries -1 at i = 1 and 0 otherwise.
     """
-    if order <= i:
-        raise SeriesTruncationTooShort(f"order {order} too short for shift i={i}")
     g = [0] * order
     for m in range(1, order):
         g[m] = 2 * math.comb(m - 1 + i, i) - (math.comb(m - 2 + i, i) if m >= 2 else 0)
     g[i] += 2
-    if i >= 1:
-        g[i - 1] -= 1
+    g[i - 1] -= 1
     return g
 
 
@@ -275,30 +266,23 @@ def cofactor_rows_q1_exact(n_max: int) -> list[list[Fraction]]:
 def ct_check_q1(
     n_max_ct: int = CT_BOUND, table: CofactorTable | None = None
 ) -> VerificationReport:
-    """Constant-term form of the q = 1 identities via truncated series.
+    """Constant-term form of the q = 1 identities.
 
     For each n the row generating polynomial f_n(x) (reversed certificate
-    row, top value read as 0) is multiplied against the kernel series for
-    every shift i; the coefficient of x**n must vanish for i < n and equal
-    the exact layer ratio for i = n.  With no table the rows are computed
-    exactly over the rationals; with a (q = 1, mod p) table the same series
-    arithmetic runs on the table's integer residues and the coefficient is
-    reduced mod p, so fault-injected tables fail here exactly as they fail
-    the direct identity checks.
+    row, top value read as 0) is multiplied against the kernel series g_i
+    for every shift i; the coefficient of x**n, sum over m = 1..n of
+    g_i[m] * B(n, m), must vanish for i < n and equal the exact layer ratio
+    for i = n.  With no table the rows are computed exactly over the
+    rationals; with a (q = 1, mod p) table the same sums run on the table's
+    integer residues and are reduced mod p, so fault-injected tables fail
+    here exactly as they fail the direct identity checks.
     """
     if n_max_ct < 2:
         raise InvalidInput("need n_max_ct >= 2")
     if table is None:
         mode = "exact-rational"
         rows = cofactor_rows_q1_exact(n_max_ct)
-
-        def certval(n, j):
-            return rows[n - 1][j - 1] if 1 <= j <= n else Fraction(0)
-
-        def reduce(value):
-            return value
-
-        expected_ratio = nice_ratio_q1_exact
+        want = [nice_ratio_q1_exact(n) for n in range(1, n_max_ct + 1)]
     else:
         if table.q_int != 1:
             raise ValueError("the constant-term route is the q = 1 specialization")
@@ -306,30 +290,17 @@ def ct_check_q1(
             raise ValueError(f"table covers only n <= {table.n_max}")
         mode = "modular"
         p = table.modulus.p
-        qpt = table.qpoint()
-        certval = table.value
-
-        def reduce(value):
-            # the kernel series is integral, so the coefficient is an integer
-            return value % p
-
-        ratios = okada._layers(range(1, n_max_ct + 1), qpt) ** 2 % p  # nice_ratio(1..n_max_ct)
-
-        def expected_ratio(n):
-            return int(ratios[n - 1])
-
+        rows = [table.row(n).tolist() for n in range(1, n_max_ct + 1)]
+        want = (okada._layers(range(1, n_max_ct + 1), table.qpoint()) ** 2 % p).tolist()
+    kernel = [_ct_kernel_series(i, n_max_ct + 1)[1:] for i in range(1, n_max_ct + 1)]
     report = VerificationReport("ct-q1", n_max_ct, [1], details={"mode": mode})
-    for n in range(1, n_max_ct + 1):
-        order = n + 1
-        # f_n coefficients: coefficient of x**j is the (n, n-j) certificate value
-        f = [certval(n, n - j) for j in range(0, n + 1)]
-        f[n] = 0  # top coefficient reads the out-of-range (n, 0) value
+    for n, row in enumerate(rows, 1):
         for i in range(1, n + 1):
-            g = _ct_kernel_series(i, order)
-            value = reduce(_series_mul_coeff(g, f, n))
+            value = sum(map(mul, kernel[i - 1], row))
+            if table is not None:
+                value %= p
             report.checks += 1
-            want = expected_ratio(n) if i == n else 0
-            if value != want:
+            if value != (want[n - 1] if i == n else 0):
                 report.record_failure(n=n, i=i, value=value if table is not None else str(value))
     return report
 

@@ -100,7 +100,12 @@ class TestPipelineConfig:
         for bound in ("alpha_max", "beta_max", "gamma_max"):
             with pytest.raises(InvalidInput, match="negative ansatz bound"):
                 PipelineConfig(**{bound: -1})
+        for bound in ("n_ext", "L", "L_q1"):
+            for value in (0, -3):
+                with pytest.raises(InvalidInput, match=f"^{bound} must be >= 1, got {value}$"):
+                    PipelineConfig(**{bound: value})
         assert PipelineConfig(alpha_max=0, beta_max=0, gamma_max=0).gamma_max == 0
+        assert PipelineConfig(n_ext=1, L=1, L_q1=1).L_q1 == 1
 
 
 class TestCofactorsCommand:
@@ -464,14 +469,18 @@ class TestBadInput:
         [
             (["cofactors", "--q", "-3"], "q must be a positive integer, got -3"),
             (["verify", "extended", "--q", "-5", "--in", str(FIXTURE)], "q must be a positive integer, got -5"),
-            (["verify", "soichi", "--L", "0"], "n_max must be >= 1"),
+            (["verify", "soichi", "--L", "0"], "L must be >= 1, got 0"),
             (["verify", "ct", "--L", "1"], "need n_max_ct >= 2"),
             (["reconstruct", "--q-from", "1"], "sweeps start at q >= 2"),
+            (["pipeline", "--n-ext", "0"], "n_ext must be >= 1, got 0"),
+            (["pipeline", "--L", "0"], "L must be >= 1, got 0"),
         ],
-        ids=["cofactors-q", "extended-q", "soichi-L", "ct-L", "reconstruct-q-from"],
+        ids=["cofactors-q", "extended-q", "soichi-L", "ct-L", "reconstruct-q-from",
+             "pipeline-n-ext", "pipeline-L"],
     )
     def test_out_of_range_argument(self, tmp_path, capsys, argv, message):
         assert message in self.run(capsys, *argv, "--out", str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPipelineQ1:

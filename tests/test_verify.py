@@ -16,12 +16,12 @@ from qtspp.okada import (
     has_admissible_order,
     nice_ratio,
     okada_entry,
+    okada_entry_q1,
     okada_slice,
     qtspp_orbit_product,
 )
 from qtspp.verify import (
     OrbitPoset,
-    SeriesTruncationTooShort,
     SizeLimit,
     _ct_kernel_series,
     brute_force_qtspp,
@@ -390,9 +390,33 @@ class TestConstantTermRoute:
         with pytest.raises(ValueError):
             ct_check_q1(5, table=t)
 
-    def test_truncation_guard(self):
-        with pytest.raises(SeriesTruncationTooShort):
-            _ct_kernel_series(5, 3)
+    def test_kernel_coefficients_are_the_q1_entries(self):
+        # the constant-term sum is sum over m of a(i, m) * B(n, m): Pascal's rule
+        for i in range(1, 41):
+            g = _ct_kernel_series(i, 41)
+            assert g[1:] == [okada_entry_q1(i, m) for m in range(1, 41)]
+            # x**0 only ever multiplies the out-of-range B(n, 0) = 0
+            assert g[0] == (-1 if i == 1 else 0)
+
+    def test_kernel_coefficient_off_by_one_fails_its_shift(self, monkeypatch):
+        kernel = verify._ct_kernel_series
+
+        def bad(i, order):
+            g = kernel(i, order)
+            if i == 3:
+                g[5] += 1
+            return g
+
+        monkeypatch.setattr(verify, "_ct_kernel_series", bad)
+        rep = ct_check_q1(12)
+        assert [(f["n"], f["i"]) for f in rep.failures] == [(n, 3) for n in range(5, 13)]
+
+    def test_ratio_off_by_one_fails_its_diagonal(self, monkeypatch):
+        ratio = verify.nice_ratio_q1_exact
+        monkeypatch.setattr(verify, "nice_ratio_q1_exact", lambda n: ratio(n) + (n == 7))
+        rep = ct_check_q1(12)
+        assert [(f["n"], f["i"]) for f in rep.failures] == [(7, 7)]
+        assert rep.failures[0]["value"] == str(ratio(7))
 
     #: sha256 of to_json() at n = 30, pinned from the series-division kernel
     REPORT_DIGESTS = {
