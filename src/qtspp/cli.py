@@ -276,6 +276,10 @@ def cmd_verify(config: PipelineConfig, which: str, q_int: int = 2,
 def cmd_pipeline(config: PipelineConfig, q1: bool = False) -> int:
     """One-shot reproduction: table, guess, sweep, reconstruct, verify."""
     if q1:
+        if config.L_q1 < 2:  # the constant-term check needs two rows; refused before any file
+            raise InvalidInput(
+                f"pipeline --q1 needs L >= 2 for its constant-term check, got {config.L_q1}"
+            )
         print("== q=1 pipeline: certificate identities and brute-force oracle ==")
         table, _ = _table_stage(config, 1, config.L_q1)
         passed = [

@@ -6,9 +6,11 @@ row n is the unique vector x with x[n] = 1 that is orthogonal to rows
 1..n-1 of the matrix (the orthogonality and normalization identities).
 The rows are nested kernels of one matrix, so one GF(p) elimination yields
 every row whose leading minor is a unit mod p.  The others share one
-elimination mod p**PADIC_PRECISION on unit pivots, then take one small Schur
-complement solve each (PrecisionExhausted when those digits run out), and
-are re-checked mod p**PADIC_PRECISION before they are reduced mod p.  A
+elimination mod p**digits on unit pivots, then take one small Schur
+complement solve each, and are re-checked mod p**digits before they are
+reduced mod p.  The digits are chosen once per table from the p-adic
+valuations of Okada's layers, capped at PADIC_PRECISION (PrecisionExhausted
+past the cap, or when a solve needs more than predicted).  A
 q != 1 of multiplicative order below MIN_Q_ORDER has no table (the entry
 matrix collapses there): build_table refuses it for every caller, with the
 SingularMatrix that check_q_order raises.
@@ -169,32 +171,75 @@ def load_table(path: str | Path) -> CofactorTable:
 # At a q point of small multiplicative order (2 has order 31 mod 2**31 - 1)
 # some leading minors of the entry matrix are divisible by p although the
 # certificate values themselves are p-integral (the prime powers cancel
-# between minors).  Those rows are lifted mod p**PADIC_PRECISION, every
-# lossy pivot inside one row's small Schur complement; an orthogonality
-# residual mod p**PADIC_PRECISION against an untouched entry matrix then
-# certifies the lifted vector, and the mod-p residual the stored row.
+# between minors).  Those rows are lifted mod p**digits, every lossy pivot
+# inside one row's small Schur complement; an orthogonality residual mod
+# p**digits against an untouched entry matrix then certifies the lifted
+# vector, and the mod-p residual the stored row.  Pivots of total valuation
+# d cost up to d digits in elimination and d more in back substitution, and
+# the row needs one reliable digit beyond a guard digit: 2d + 2 digits.  d is
+# known before any elimination, from the layers of the identity the table
+# certifies (_leading_valuations), so a table carries 2d + 2 digits for the
+# largest d among its lifted rows (_padic_digits).
 
-#: p-adic digits carried by a lifted row.  Pivots of total valuation d cost
-#: up to d digits in elimination and d more in back substitution, and the
-#: row needs one reliable digit beyond a guard digit: 2d + 2 <= PADIC_PRECISION.
-PADIC_PRECISION = 16
+#: The most p-adic digits a table may carry; a lifted row with 2d + 2 above
+#: it is refused before any elimination.
+PADIC_PRECISION = 64
 
 
 class PrecisionExhausted(WorkbenchError):
-    """A row lifted mod p**PADIC_PRECISION needs more p-adic digits."""
+    """A lifted row needs more p-adic digits than the table carries or the cap allows."""
 
 
-def _valuation(v: int, p: int) -> int:
-    """p-adic valuation of v mod p**PADIC_PRECISION (PADIC_PRECISION for 0)."""
+def _valuation(v: int, p: int, digits: int) -> int:
+    """p-adic valuation of v mod p**digits (digits for 0)."""
     k = 0
-    while k < PADIC_PRECISION and v % p == 0:
+    while k < digits and v % p == 0:
         v //= p
         k += 1
     return k
 
 
-def _extend_prefix(m: list[list[int]], lo: int, hi: int, n: int, qpt: QPoint) -> None:
-    """Eliminate columns lo..hi-1 of m mod p**PADIC_PRECISION, on unit pivots only.
+def _leading_valuations(n_max: int, qpt: QPoint) -> list[int]:
+    """d[n] = v_p of the leading (n-1)-minor of the entry matrix at q_int, n = 0..n_max.
+
+    By Okada's identity that minor is the product over m < n of layer(m)**2,
+    layer m being the product over i <= m of (1 - q**(2m+i-1)) / (1 - q**(m+2i-2))
+    (with e in place of 1 - q**e at q = 1).  v_p(1 - q**e) is positive only where
+    q's order divides e; it is read mod p**(PADIC_PRECISION + 1), so one past
+    the cap reads as PADIC_PRECISION + 1.  With a unit prefix, d[n] is the
+    pivot valuation _schur_row reaches for row n.
+    """
+    p, r = qpt.modulus.p, qpt.order
+    top = PADIC_PRECISION + 1
+    pk = p**top
+    v = [0] * (3 * n_max)
+    for e in range(r, 3 * n_max, r):
+        v[e] = _valuation(e if qpt.is_unit else (1 - pow(qpt.q_int, e, pk)) % pk, p, top)
+    d = [0, 0]
+    for m in range(1, n_max):
+        d.append(d[-1] + 2 * (sum(v[2 * m : 3 * m]) - sum(v[m : 3 * m - 1 : 2])))
+    return d
+
+
+def _padic_digits(lifted: list[int], qpt: QPoint) -> int:
+    """2d + 2 for the largest predicted d among the lifted rows (_leading_valuations).
+
+    The first lifted row whose 2d + 2 exceeds PADIC_PRECISION raises
+    PrecisionExhausted naming n, q and d.
+    """
+    d = _leading_valuations(lifted[-1], qpt)
+    for n in lifted:
+        if 2 * d[n] + 2 > PADIC_PRECISION:
+            raise PrecisionExhausted(
+                f"row n={n} at q={qpt.q_int}: the pivot valuation reaches d={d[n]}, but "
+                f"PADIC_PRECISION={PADIC_PRECISION} digits allow only 2d + 2 <= "
+                f"{PADIC_PRECISION}; raise cofactors.PADIC_PRECISION"
+            )
+    return 2 * max(d[n] for n in lifted) + 2
+
+
+def _extend_prefix(m: list[list[int]], lo: int, hi: int, n: int, qpt: QPoint, digits: int) -> None:
+    """Eliminate columns lo..hi-1 of m mod p**digits, on unit pivots only.
 
     Column c pivots on the first of rows c..hi-1 holding a unit, so no digit
     is lost and rows hi onward keep their place; other rows are reduced when
@@ -202,7 +247,7 @@ def _extend_prefix(m: list[list[int]], lo: int, hi: int, n: int, qpt: QPoint) ->
     not a unit) raises WorkbenchError naming n, q and the column.
     """
     p = qpt.modulus.p
-    pk = p**PADIC_PRECISION
+    pk = p**digits
     for col in range(lo, hi):
         best = next((r for r in range(col, hi) if m[r][col] % p), None)
         if best is None:
@@ -216,26 +261,28 @@ def _extend_prefix(m: list[list[int]], lo: int, hi: int, n: int, qpt: QPoint) ->
                 row[col:] = [x - f * y for x, y in zip(row[col:], prow[col:])]
 
 
-def _schur_row(m: list[list[int]], k: int, n: int, qpt: QPoint) -> list[int]:
-    """Row n's kernel vector mod p**PADIC_PRECISION, past k eliminated columns.
+def _schur_row(m: list[list[int]], k: int, n: int, qpt: QPoint, digits: int) -> list[int]:
+    """Row n's kernel vector mod p**digits, past k eliminated columns.
 
     Eliminates the Schur complement m[k:n-1][k:n] with minimal-valuation
     pivots; with the unit prefix their total valuation d is the valuation of
     the leading (n-1)-minor, so the kernel vector y with y[n-1] = p**d is
-    p-integral.  Back substitution finds it.
+    p-integral.  Back substitution finds it.  d is predicted before the
+    table's digits are chosen; a solve that reaches 2d + 2 > digits raises
+    PrecisionExhausted rather than trust a wrong prediction.
     """
     p = qpt.modulus.p
-    pk = p**PADIC_PRECISION
+    pk = p**digits
     u = [row[:n] for row in m[:k]] + [[0] * k + [x % pk for x in r[k:n]] for r in m[k : n - 1]]
     vals = [0] * k
     for col in range(k, n - 1):
-        v, best = min((_valuation(u[r][col], p), r) for r in range(col, n - 1))
+        v, best = min((_valuation(u[r][col], p, digits), r) for r in range(col, n - 1))
         vals.append(v)
-        if 2 * sum(vals) + 2 > PADIC_PRECISION:
+        if 2 * sum(vals) + 2 > digits:
             raise PrecisionExhausted(
-                f"row n={n} at q={qpt.q_int}: the pivot valuation reaches d={sum(vals)}, "
-                f"but PADIC_PRECISION={PADIC_PRECISION} digits allow only 2d + 2 <= "
-                f"{PADIC_PRECISION}; raise cofactors.PADIC_PRECISION"
+                f"row n={n} at q={qpt.q_int}: the pivot valuation reaches d={sum(vals)}, but "
+                f"the {digits} digits predicted from the layer valuations allow only "
+                f"2d + 2 <= {digits}"
             )
         u[col], u[best] = u[best], u[col]
         prow, pv = u[col], p**v
@@ -247,7 +294,7 @@ def _schur_row(m: list[list[int]], k: int, n: int, qpt: QPoint) -> list[int]:
     d = sum(vals)
     y = [0] * (n - 1) + [p**d]
     for i in reversed(range(n - 1)):
-        acc = -sum(x * z for x, z in zip(u[i][i + 1 :], y[i + 1 :])) % pk
+        acc = -sum(map(mul, u[i][i + 1 :], y[i + 1 :])) % pk
         pv = p ** vals[i]
         y[i] = acc // pv * pow(u[i][i] // pv, -1, pk) % pk
     return y
@@ -264,47 +311,49 @@ def build_table(n_max: int, qpt: QPoint) -> CofactorTable:
 
     Rows whose leading minor is a unit mod p come from one GF(p) elimination
     (leading_kernels_mod).  The others come in blocks of consecutive n, and
-    the leading minor before a block is a unit: one elimination mod
-    p**PADIC_PRECISION on unit pivots, extended once per block
-    (_extend_prefix), reaches each block, and each of its rows is one small
-    Schur complement solve (_schur_row), which raises PrecisionExhausted
-    when those digits do not suffice.  A lifted row must be orthogonal mod
-    p**PADIC_PRECISION to an untouched entry matrix before its least p-power
-    is divided out, leaving p**s times the rational row (s > 0 is seen only
-    by the normalization check: every other identity is homogeneous within
-    a row).  Every row is then checked at once: the certificate product, from
-    the entry matrix eliminated and kept on the table, must vanish above its
-    diagonal, or SingularMatrix names the first row that fails, as does a
-    lifted row failing its check mod p**PADIC_PRECISION.
+    the leading minor before a block is a unit.  Their p-adic digits are
+    chosen once, before any elimination (_padic_digits, which refuses a row
+    past the PADIC_PRECISION cap): one elimination mod p**digits on unit
+    pivots, extended once per block (_extend_prefix), reaches each block,
+    and each of its rows is one small Schur complement solve (_schur_row),
+    which raises PrecisionExhausted when those digits do not suffice.  A
+    lifted row must be orthogonal mod p**digits to an untouched entry
+    matrix before its least p-power is divided out, leaving p**s times the
+    rational row (s > 0 is seen only by the normalization check: every
+    other identity is homogeneous within a row).  Every row is then checked
+    at once: the certificate product, from the entry matrix eliminated and
+    kept on the table, must vanish above its diagonal, or SingularMatrix
+    names the first row that fails, as does a lifted row failing its check
+    mod p**digits.
     A q point of too small an order is refused first (check_q_order).
     """
     check_q_order(qpt)
     if n_max < 1:
         raise InvalidInput("n_max must be >= 1")
     p = qpt.modulus.p
-    pk = p**PADIC_PRECISION
     a = okada_slice(n_max, qpt)
     rows = leading_kernels_mod(a, p)
     lifted = [n for n in range(2, n_max + 1) if n not in rows]
     if lifted:  # rows < n - 1 and columns < n of the entry matrix serve row n
+        digits = _padic_digits(lifted, qpt)
+        pk = p**digits
         whole = entry_matrix(lifted[-1], qpt.q_int, pk).tolist()[:-1]
         m = [row[:] for row in whole]
     k = 0  # columns < k of m are eliminated
-    for n in range(2, n_max + 1):
-        if n in lifted:
-            log.info("minor system singular mod p at n=%d, q=%d; lifting precision", n, qpt.q_int)
-            if n - 1 not in lifted:  # a block starts: row n - 1 says the (n-2)-minor is a unit
-                _extend_prefix(m, k, n - 2, n, qpt)
-                k = n - 2
-            y = _schur_row(m, k, n, qpt)
-            if any(sum(map(mul, row, y)) % pk for row in whole[: n - 1]):
-                msg = f"row n={n} fails the orthogonality identity mod p**{PADIC_PRECISION}"
-                raise SingularMatrix(f"{msg} at q={qpt.q_int}", n)
-            low = min(_valuation(v, p) for v in y)
-            s = _valuation(y[-1], p) - low
-            if s:
-                log.info("row n=%d at q=%d stored as p**%d times the rational row", n, qpt.q_int, s)
-            rows[n] = [v // p**low % p for v in y]
+    for n in lifted:
+        log.info("minor system singular mod p at n=%d, q=%d; lifting precision", n, qpt.q_int)
+        if n - 1 not in lifted:  # a block starts: row n - 1 says the (n-2)-minor is a unit
+            _extend_prefix(m, k, n - 2, n, qpt, digits)
+            k = n - 2
+        y = _schur_row(m, k, n, qpt, digits)
+        if any(sum(map(mul, row, y)) % pk for row in whole[: n - 1]):
+            msg = f"row n={n} fails the orthogonality identity mod p**{digits}"
+            raise SingularMatrix(f"{msg} at q={qpt.q_int}", n)
+        low = min(_valuation(v, p, digits) for v in y)
+        s = _valuation(y[-1], p, digits) - low
+        if s:
+            log.info("row n=%d at q=%d stored as p**%d times the rational row", n, qpt.q_int, s)
+        rows[n] = [v // p**low % p for v in y]
     b = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
     for n, x in rows.items():
         b[n, 1 : n + 1] = x

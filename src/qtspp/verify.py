@@ -35,13 +35,12 @@ from .fieldcore import (
     PrimeModulus,
     SingularMatrix,
     WorkbenchError,
+    _poly_eval,
 )
 from .guessing import (
     ModularRecurrence,
     SymbolicRecurrence,
     _canonical_json,
-    _eval_shift,
-    _shift_polys,
     annihilation_residuals,
 )
 from .okada import (
@@ -364,7 +363,9 @@ def check_leading_factor_vanishing(
 
     P(q, X, Y) = sum over top-shift terms of c[alpha,beta](q) * X**alpha *
     Y**beta, where X and Y stand for q**n and q**j and gamma is the top
-    shift, is evaluated as the residual check evaluates it (_eval_shift).
+    shift, is evaluated as the residual check evaluates a shift: Horner
+    steps in Y, then in X.  Only the top shift's coefficients are
+    specialized, at every draw's q in one pass over their residues.
     The factors (Y q^(gamma-4) - 1), (Y q^gamma + 1), (X - Y q^(gamma-1)),
     (X - Y q^gamma), (X Y q^(gamma-1) - 1) and (X Y q^gamma - 1) are each
     zeroed by construction at random points mod p, and P must vanish at
@@ -378,10 +379,8 @@ def check_leading_factor_vanishing(
     """
     p = symrec.prime
     gmax = symrec.support.max_shift_j
-
-    def assemble(q: int, x: int, y: int) -> int:
-        top = _shift_polys(symrec, q, p)[gmax]
-        return int(_eval_shift(top, np.array([x]), np.array([y]), p)[0, 0])
+    top = [k for k, term in enumerate(symrec.support.terms) if term[2] == gmax]
+    alpha, beta, _ = map(np.array, zip(*(symrec.support.terms[k] for k in top)))
 
     # (x, y) on each factor's zero set from w = q**(gamma - offset) and one free draw r
     on_factor = (
@@ -393,21 +392,24 @@ def check_leading_factor_vanishing(
         lambda w, r: (pow(r * w, -1, p), r),  # X Y w = 1
     )
     rng = random.Random(seed)
-    report = VerificationReport("leading-factor", gmax, [])
+    draws = []
     for t in range(trials):
         q = rng.randrange(2, p - 1)
-        kind = t % 6
-        w = pow(q, gmax - LEADING_FACTOR_OFFSETS[kind], p)
-        x, y = on_factor[kind](w, rng.randrange(1, p))
-        report.checks += 1
-        v = assemble(q, x, y)
-        if v != 0:
-            report.record_failure(factor=kind, q=q, x=x, y=y, value=v)
+        w = pow(q, gmax - LEADING_FACTOR_OFFSETS[t % 6], p)
+        draws.append((q, *on_factor[t % 6](w, rng.randrange(1, p))))
     # negative control: an unconstrained random point should not vanish
-    q = rng.randrange(2, p - 1)
-    x = rng.randrange(1, p)
-    y = rng.randrange(1, p)
-    report.details["random_point_value"] = assemble(q, x, y)
+    draws.append((rng.randrange(2, p - 1), rng.randrange(1, p), rng.randrange(1, p)))
+    qs, xs, ys = np.array(draws, dtype=np.int64).T
+    poly = np.zeros((beta.max() + 1, alpha.max() + 1, len(draws)), dtype=np.int64)
+    poly[beta, alpha] = _poly_eval(symrec._residues(p)[:, top, None], qs, p)  # [beta, alpha, draw]
+    *values, control = _poly_eval(_poly_eval(poly, ys, p), xs, p).tolist()
+
+    report = VerificationReport("leading-factor", gmax, [])
+    for t, ((q, x, y), v) in enumerate(zip(draws, values)):
+        report.checks += 1
+        if v != 0:
+            report.record_failure(factor=t % 6, q=q, x=x, y=y, value=v)
+    report.details["random_point_value"] = control
     return report
 
 

@@ -474,9 +474,11 @@ class TestBadInput:
             (["reconstruct", "--q-from", "1"], "sweeps start at q >= 2"),
             (["pipeline", "--n-ext", "0"], "n_ext must be >= 1, got 0"),
             (["pipeline", "--L", "0"], "L must be >= 1, got 0"),
+            (["pipeline", "--q1", "--L", "1"],
+             "pipeline --q1 needs L >= 2 for its constant-term check, got 1"),
         ],
         ids=["cofactors-q", "extended-q", "soichi-L", "ct-L", "reconstruct-q-from",
-             "pipeline-n-ext", "pipeline-L"],
+             "pipeline-n-ext", "pipeline-L", "pipeline-q1-L"],
     )
     def test_out_of_range_argument(self, tmp_path, capsys, argv, message):
         assert message in self.run(capsys, *argv, "--out", str(tmp_path))

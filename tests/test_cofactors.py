@@ -38,6 +38,11 @@ def qp(q):
     return QPoint(q, P)
 
 
+def of_order(r):
+    """A q point of multiplicative order r mod P (7 is a primitive root)."""
+    return pow(7, (P.p - 1) // r, P.p)
+
+
 class TestCofactorRow:
     def test_normalization_only(self):
         assert build_table(1, qp(7)).row(1).tolist() == [1]
@@ -137,6 +142,38 @@ class TestTableBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[q, n]
 
 
+class TestSmallOrderTables:
+    """q = 7**((p-1)/r) of order r: many lifted rows, each table at its own digits.
+
+    sha256 of to_text(), pinned from the earlier fixed-digit solver with its
+    digits raised from 16 to 64 (with 16 it refused orders 6 and 42 at n = 22).
+    """
+
+    DIGESTS = {
+        6: "3d48327661718877a0c3767d265859549d9e50a6af7a4fa9bad60c7e32ff88bc",
+        14: "477eec3d7168a5baac76704585b57d70f34f9c077b623a8cb663d4da53d2dcf5",
+        42: "dd129647c4a09f2d28f2207e56f0e8aa31f051114c7176ceb3b7c4a85b697d21",
+    }
+
+    @pytest.mark.parametrize("order", sorted(DIGESTS))
+    def test_table_at_n35(self, order):
+        assert qp(of_order(order)).order == order
+        table = build_table(35, qp(of_order(order)))
+        assert check_soichi(table, 35).passed
+        assert hashlib.sha256(table.to_text().encode()).hexdigest() == self.DIGESTS[order]
+
+    def test_order_6_at_n120_is_refused_before_any_elimination(self, monkeypatch):
+        def eliminate(*args):
+            raise AssertionError("eliminated before the refusal")
+
+        monkeypatch.setattr(cofactors, "_extend_prefix", eliminate)
+        monkeypatch.setattr(cofactors, "_schur_row", eliminate)
+        q = of_order(6)
+        message = rf"row n=94 at q={q}: .*d=32\b.*PADIC_PRECISION=64\b"
+        with pytest.raises(PrecisionExhausted, match=message):
+            build_table(120, qp(q))
+
+
 class TestTableGates:
     def counted(self, monkeypatch, name):
         """Record every call to cofactors.<name> by its arguments between m and qpt."""
@@ -144,7 +181,7 @@ class TestTableGates:
         fn = getattr(cofactors, name)
 
         def counting(*args):
-            calls.append(args[1:-1])
+            calls.append(args[1:-2])
             return fn(*args)
 
         monkeypatch.setattr(cofactors, name, counting)
@@ -169,7 +206,7 @@ class TestTableGates:
         p = P.p
         m = [[1, 2, 3], [5, p + 10, 7], [4, 3 * p + 8, 1]]
         with pytest.raises(WorkbenchError, match=r"row n=4 at q=2: prefix column 1 has no unit"):
-            cofactors._extend_prefix(m, 0, 3, 4, qp(2))
+            cofactors._extend_prefix(m, 0, 3, 4, qp(2), 16)
 
     @pytest.mark.parametrize(
         "entry, first", [((0, 11), 13), ((5, 11), 13), ((0, 12), 13), ((12, 11), 14), ((11, 12), 13)]
@@ -177,8 +214,8 @@ class TestTableGates:
     def test_corrupt_prefix_fails_orthogonality(self, monkeypatch, entry, first):
         extend = cofactors._extend_prefix
 
-        def corrupted(m, lo, hi, n, qpt):
-            extend(m, lo, hi, n, qpt)
+        def corrupted(m, lo, hi, n, qpt, digits):
+            extend(m, lo, hi, n, qpt, digits)
             m[entry[0]][entry[1]] += 1
 
         monkeypatch.setattr(cofactors, "_extend_prefix", corrupted)
@@ -198,6 +235,42 @@ class TestTableGates:
         support = AnsatzSupport(((0, 0, 0), (0, 0, 1)), (0, 0, 0))
         with pytest.raises(PrecisionExhausted):
             sweep(support, 2, 3, n_max=19, min_points=1)
+
+    # at a small prime, q = 1 lifts rows too (factors e of the layers), and
+    # v_p(1 - q**e) grows with v_p(e) (q = 3 has order 6 mod 7)
+    @pytest.mark.parametrize(
+        "q, p, n_max", [(2, P.p, 120), (of_order(14), P.p, 60), (of_order(42), P.p, 60),
+                        (1, 101, 60), (3, 7, 30)]
+    )
+    def test_predicted_valuation_is_the_solved_one(self, monkeypatch, q, p, n_max):
+        solved = {}
+        solve = cofactors._schur_row
+
+        def recording(m, k, n, qpt, digits):
+            y = solve(m, k, n, qpt, digits)
+            solved[n] = cofactors._valuation(y[-1], p, digits)  # y[-1] = p**d
+            return y
+
+        monkeypatch.setattr(cofactors, "_schur_row", recording)
+        qpt = QPoint(q, PrimeModulus(p))
+        build_table(n_max, qpt)
+        predicted = cofactors._leading_valuations(n_max, qpt)
+        assert solved and solved == {n: predicted[n] for n in solved}
+        if q == 2:
+            assert list(solved.values()) == [2, 2, 4, 4, 4, 2, 2] * 4
+
+    def test_prediction_two_digits_short_trips_the_guard(self, monkeypatch):
+        predict = cofactors._padic_digits
+        short = []
+
+        def two_short(lifted, qpt):
+            short.append(predict(lifted, qpt) - 2)
+            return short[-1]
+
+        monkeypatch.setattr(cofactors, "_padic_digits", two_short)
+        with pytest.raises(PrecisionExhausted, match=r"row n=15 at q=2: .*d=4\b.*the 8 digits"):
+            build_table(120, qp(2))
+        assert short == [8]
 
     @pytest.mark.parametrize("q, order", [(P.p - 1, 2), (pow(7, (P.p - 1) // 3, P.p), 3)])
     def test_small_order_is_refused(self, q, order):

@@ -309,7 +309,7 @@ def pow_sum(rec, gamma, q, x, y, p):
 
 
 class TestShiftEvaluator:
-    """_shift_polys and _eval_shift: one path behind the residuals and the leading-factor check."""
+    """_shift_polys and _eval_shift: the one path behind the annihilation residuals."""
 
     @pytest.mark.parametrize("p", [P.p, 3037000493])
     @pytest.mark.parametrize("gamma", [0, 10])
